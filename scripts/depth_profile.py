@@ -22,7 +22,6 @@ def main():
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--depth", type=int, default=2)
     ap.add_argument("--min-node-size", type=int, default=10)
-    ap.add_argument("--masked", action="store_true", default=True)
     ap.add_argument("--n-surnames", type=int, default=None,
                     help="use grouped surnames instead of the masking scenario")
     args = ap.parse_args()

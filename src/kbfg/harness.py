@@ -5,9 +5,11 @@ stratified cross-validation with identical fold assignments across methods,
 so per-fold accuracies pair up.  Feature generation runs inside each
 training fold by default; the held-out fold neither contributes values nor
 labels to generation, which is what makes the accuracy delta an honest
-estimate of the generated features' utility.  A ``dataset`` generation
-scope (generate once on the full dataset, reuse in every fold) exists for
-comparison but leaks test data into generation.
+estimate of the generated features' utility.  Each (method, fold) runs
+generation once and builds its train and test matrices once; all learners
+are trained and scored on those same matrices.  A ``dataset`` generation
+scope (generate once per method on the full dataset, reuse in every fold)
+exists for comparison but leaks test data into generation.
 
 Methods: ``baseline`` (no generation), ``expand`` (one relational
 expansion pass), ``recursive_d1`` / ``recursive_d2`` (recursive induction
@@ -47,6 +49,10 @@ class HarnessConfig:
         for l in self.learners:
             if l not in LEARNER_KINDS:
                 raise ValueError(f"unknown learner {l!r}")
+        for name in ("methods", "learners"):
+            values = list(getattr(self, name))
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name} in {values}")
         if self.generation_scope not in ("fold", "dataset"):
             raise ValueError("generation_scope must be 'fold' or 'dataset'")
 
@@ -145,24 +151,25 @@ def run_experiment(datasets: Dict[str, Dataset], kb: KnowledgeBase,
         if len(set(ds.labels)) < 2:
             raise ValueError(f"dataset {name!r} has a single class")
         feats = base_features(ds)
-        cells[name] = {}
-        for learner in cfg.learners:
-            per_method: Dict[str, Cell] = {}
-            for method in cfg.methods:
-                generator = method_generator(method, cfg, kb, feats)
-                if generator is not None and cfg.generation_scope == "dataset":
-                    pre = generator(ds)  # leaks held-out folds into generation
-                    generator = lambda _train, _pre=pre: _pre
-                accs = cross_validate(ds, feats, kb, learner, cfg.folds, cfg.seed,
-                                      cfg.train, generator)
-                per_method[method] = Cell(accs, sum(accs) / len(accs))
+        per_learner = cells[name] = {learner: {} for learner in cfg.learners}
+        for method in cfg.methods:
+            generator = method_generator(method, cfg, kb, feats)
+            method_feats = feats
+            if generator is not None and cfg.generation_scope == "dataset":
+                # leaks held-out folds into generation
+                method_feats = feats + list(generator(ds))
+                generator = None
+            accs = cross_validate(ds, method_feats, kb, cfg.learners, cfg.folds, cfg.seed,
+                                  cfg.train, generator)
+            for learner, fold_accs in accs.items():
+                per_learner[learner][method] = Cell(fold_accs, sum(fold_accs) / len(fold_accs))
+        for per_method in per_learner.values():
             baseline = per_method.get("baseline")
             if baseline is not None:
                 for method, cell in per_method.items():
                     if method != "baseline":
                         cell.t_vs_baseline = paired_t_test(cell.fold_accuracies,
                                                            baseline.fold_accuracies)
-            cells[name][learner] = per_method
     result = ExperimentResult(cells, list(cfg.methods), list(cfg.learners))
     if len(datasets) >= 2 and len(cfg.methods) >= 2:
         for learner in cfg.learners:
@@ -178,9 +185,5 @@ def maa(ds: Dataset, kb: KnowledgeBase, folds: int = 10, seed: int = 0,
     A proxy for task difficulty: low values mean no learner does well on
     the original features alone.
     """
-    feats = base_features(ds)
-    best = 0.0
-    for learner in LEARNER_KINDS:
-        accs = cross_validate(ds, feats, kb, learner, folds, seed, train_cfg)
-        best = max(best, sum(accs) / len(accs))
-    return best
+    accs = cross_validate(ds, base_features(ds), kb, LEARNER_KINDS, folds, seed, train_cfg)
+    return max(sum(a) / len(a) for a in accs.values())

@@ -11,15 +11,23 @@ label with ties resolved to 0.
   id-like columns from being used.  Unseen split values route to the
   fallback child, the child that held the most training examples.
 * k-NN: Hamming distance over value vectors, distance ties to the lower
-  stored row, vote ties to 0.
+  stored row, vote ties to 0.  The model keeps one row bitmask per
+  (column, value); a query adds up its matching masks in a bit-sliced
+  counter and takes rows by match count, lowest row first, which gives the
+  same neighbours as sorting every stored row by (distance, row).
 * linear: hinge-loss subgradient descent over one-hot encoded values with a
   1/(lambda*t) step size, cycling the training rows in a fixed order so the
   trajectory is reproducible and doubling the data (concatenated) with
-  half the epochs traces the identical weight path.
+  half the epochs traces the identical weight path.  The per-step
+  regularisation shrink is applied lazily: a weight receives the shrink
+  factors of the steps it missed when its row is next visited (and once
+  more at the end), multiplied in step order, so every weight is
+  bit-identical to shrinking all weights at every step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -211,16 +219,57 @@ class KnnModel:
 
     kind = "knn"
 
-    def predict(self, row: Sequence[FeatureValue]) -> int:
-        def dist(stored: Sequence[FeatureValue]) -> int:
-            m = max(len(stored), len(row))
-            return sum(1 for i in range(m)
-                       if (stored[i] if i < len(stored) else None)
-                       != (row[i] if i < len(row) else None))
+    def __post_init__(self):
+        # rows shorter than the widest one read as None in the missing columns
+        self._width = max((len(r) for r in self.rows), default=0)
+        self._masks: List[Dict[FeatureValue, int]] = [{} for _ in range(self._width)]
+        self._positive = 0
+        for i, (row, y) in enumerate(zip(self.rows, self.labels)):
+            bit = 1 << i
+            for j, masks in enumerate(self._masks):
+                v = row[j] if j < len(row) else None
+                masks[v] = masks.get(v, 0) | bit
+            if y == 1:
+                self._positive |= bit
+        self._all = (1 << len(self.rows)) - 1
 
-        order = sorted(range(len(self.rows)), key=lambda i: (dist(self.rows[i]), i))
-        votes = [self.labels[i] for i in order[: self.k]]
-        return majority_label(votes)
+    def predict(self, row: Sequence[FeatureValue]) -> int:
+        # planes[b] holds bit b of every stored row's count of matching columns.
+        # Columns past the widest stored row match every row or none, so they
+        # cannot reorder rows, and neither can any column that does so.
+        planes: List[int] = []
+        for j, masks in enumerate(self._masks):
+            carry = masks.get(row[j] if j < len(row) else None, 0)
+            if not carry or carry == self._all:
+                continue
+            for b in range(len(planes)):
+                plane = planes[b]
+                planes[b] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            if carry:
+                planes.append(carry)
+        # most matches = least distance; within a match count, lowest row first
+        total = need = min(self.k, len(self.rows))
+        ones = 0
+        for level in range((1 << len(planes)) - 1, -1, -1):
+            if not need:
+                break
+            members = self._all
+            for b, plane in enumerate(planes):
+                members &= plane if level >> b & 1 else ~plane
+            count = members.bit_count()
+            if count <= need:
+                ones += (members & self._positive).bit_count()
+                need -= count
+                continue
+            while need:
+                low = members & -members
+                ones += bool(low & self._positive)
+                members ^= low
+                need -= 1
+        return int(ones * 2 > total)
 
     def to_json(self) -> dict:
         return {"kind": "knn", "k": self.k, "default_class": self.default_class,
@@ -282,25 +331,42 @@ def train_linear(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> Li
         return LinearModel({}, 0.0, default, constant=True)
 
     lam = cfg.regularization
-    weights: Dict[Tuple[int, str], float] = {}
-    bias = 0.0
-    keys = [[(j, _encode(v)) for j, v in enumerate(row)] for row in matrix.rows]
+    steps = cfg.epochs * len(matrix.rows)
+    shrinks = [1.0 - 1.0 / (lam * t) * lam for t in range(1, steps + 1)]
+    ids: Dict[Tuple[int, str], int] = {}       # (column, encoded value) -> key id
+    rows = [[ids.setdefault((j, _encode(v)), len(ids)) for j, v in enumerate(row)]
+            for row in matrix.rows]
     signed = [1 if y == 1 else -1 for y in matrix.labels]
-    t = 0
+    weights: Dict[int, float] = {}              # key id -> weight, in order of first update
+    synced = [0] * len(ids)                     # key id -> step shrinks applied so far
+    get = weights.get
+    prod = math.prod  # multiplies left to right in C, exactly as repeated *= does
+    zeros = itertools.repeat(0.0)
+    bias = 0.0
+    s = 0                                       # steps taken
     for _ in range(cfg.epochs):
-        for i in range(len(keys)):
-            t += 1
-            eta = 1.0 / (lam * t)
-            score = bias + sum(weights.get(k, 0.0) for k in keys[i])
-            shrink = 1.0 - eta * lam
-            for k in list(weights):
-                weights[k] *= shrink
+        for row, y in zip(rows, signed):
+            for k in row:
+                n = synced[k]
+                if n < s:
+                    synced[k] = s
+                    if k in weights:
+                        weights[k] = prod(shrinks[n:s], start=weights[k])
+            score = bias + sum(map(get, row, zeros))
+            shrink = shrinks[s]
             bias *= shrink
-            if signed[i] * score < 1.0:
-                for k in keys[i]:
-                    weights[k] = weights.get(k, 0.0) + eta * signed[i]
-                bias += eta * signed[i]
-    return LinearModel(weights, bias, default)
+            s += 1
+            if y * score < 1.0:
+                step = 1.0 / (lam * s) * y
+                for k in row:
+                    # a new key: 0.0 * shrink is a signed zero, and adding it to
+                    # step gives step, as 0.0 + step does
+                    weights[k] = get(k, 0.0) * shrink + step
+                    synced[k] = s
+                bias += step
+    keys = list(ids)
+    return LinearModel({keys[k]: prod(shrinks[synced[k]:], start=w)
+                        for k, w in weights.items()}, bias, default)
 
 
 # --- (de)serialization shared by feature documents --------------------------
@@ -363,24 +429,31 @@ def accuracy(model, matrix: FeatureMatrix) -> float:
     return hits / len(matrix.rows)
 
 
-def cross_validate(ds: Dataset, features, kb, learner_kind: str, folds: int = 10,
-                   seed: int = 0, train_cfg: Optional[TrainConfig] = None,
-                   feature_generator=None) -> List[float]:
-    """Per-fold accuracies under seeded stratified cross-validation.
+def cross_validate(ds: Dataset, features, kb, learner_kinds: Sequence[str],
+                   folds: int = 10, seed: int = 0, train_cfg: Optional[TrainConfig] = None,
+                   feature_generator=None) -> Dict[str, List[float]]:
+    """Per-fold accuracies of each learner under seeded stratified cross-validation.
 
-    When `feature_generator` is given it is called with the training-fold
-    dataset only and must return extra features to append; held-out
-    examples never influence generation.
+    Returns ``{kind: fold_accuracies}`` in the order of `learner_kinds`.
+    Each fold's features are generated and its train and test matrices
+    built once, and every learner is trained and scored on those same
+    matrices.  When `feature_generator` is given it is called with the
+    training-fold dataset only and must return extra features to append;
+    held-out examples never influence generation.
     """
+    if len(set(learner_kinds)) != len(learner_kinds):
+        raise ValueError(f"duplicate learner kinds in {list(learner_kinds)}")
     fold_sets = stratified_folds(ds.labels, folds, seed)
-    accs = []
-    for f in range(folds):
-        test_idx = fold_sets[f]
-        train_idx = [i for i in range(len(ds)) if i not in set(test_idx)]
-        train_ds = ds.subset(train_idx)
+    accs: Dict[str, List[float]] = {kind: [] for kind in learner_kinds}
+    for test_idx in fold_sets:
+        held_out = set(test_idx)
+        train_ds = ds.subset(i for i in range(len(ds)) if i not in held_out)
         feats = list(features)
         if feature_generator is not None:
             feats = feats + list(feature_generator(train_ds))
-        model = train_model(learner_kind, materialize(train_ds, feats, kb), train_cfg)
-        accs.append(accuracy(model, materialize(ds.subset(test_idx), feats, kb)))
+        train_matrix = materialize(train_ds, feats, kb)
+        test_matrix = materialize(ds.subset(test_idx), feats, kb)
+        for kind in learner_kinds:
+            model = train_model(kind, train_matrix, train_cfg)
+            accs[kind].append(accuracy(model, test_matrix))
     return accs

@@ -1,13 +1,24 @@
 import copy
+import json
 
 import pytest
 
 from kbfg.data import Dataset, Example
 from kbfg.features import serialize_feature
-from kbfg.harness import HarnessConfig, base_features, maa, method_generator, run_experiment
+from kbfg.harness import (
+    METHODS,
+    Cell,
+    ExperimentResult,
+    HarnessConfig,
+    base_features,
+    maa,
+    method_generator,
+    run_experiment,
+)
 from kbfg.kb import load_kb
-from kbfg.learners import cross_validate, stratified_folds
+from kbfg.learners import LEARNER_KINDS, cross_validate, stratified_folds
 from kbfg.recursive import GenerationConfig
+from kbfg.stats import paired_t_test
 from kbfg.synth import ScenarioSpec, gen_disorder_scenario
 
 EMPTY_KB = load_kb([], [])
@@ -30,8 +41,47 @@ def test_baseline_reproduces_cross_validate():
     train, _, kb, _ = small_scenario()
     cfg = HarnessConfig(methods=("baseline",), learners=("tree",), folds=5, seed=3)
     res = run_experiment({"d": train}, kb, cfg)
-    direct = cross_validate(train, base_features(train), kb, "tree", 5, 3)
+    direct = cross_validate(train, base_features(train), kb, ["tree"], 5, 3)["tree"]
     assert res.cell("d", "tree", "baseline").fold_accuracies == direct
+
+
+def per_learner_experiment(ds, kb, cfg):
+    """run_experiment's result rebuilt one learner and one method at a time."""
+    feats = base_features(ds)
+    cells = {}
+    for learner in cfg.learners:
+        per_method = {}
+        for method in cfg.methods:
+            generator = method_generator(method, cfg, kb, feats)
+            if generator is not None and cfg.generation_scope == "dataset":
+                pre = generator(ds)
+                generator = lambda _train, _pre=pre: _pre
+            accs = cross_validate(ds, feats, kb, [learner], cfg.folds, cfg.seed,
+                                  cfg.train, generator)[learner]
+            per_method[method] = Cell(accs, sum(accs) / len(accs))
+        for method, cell in per_method.items():
+            if method != "baseline":
+                cell.t_vs_baseline = paired_t_test(cell.fold_accuracies,
+                                                   per_method["baseline"].fold_accuracies)
+        cells[learner] = per_method
+    return ExperimentResult({"d": cells}, list(cfg.methods), list(cfg.learners))
+
+
+@pytest.mark.parametrize("scope", ["fold", "dataset"])
+def test_shared_fold_loop_matches_per_learner_runs(scope):
+    train, _, kb, _ = small_scenario()
+    cfg = HarnessConfig(methods=METHODS, learners=LEARNER_KINDS, folds=3, seed=4,
+                        generation_scope=scope)
+    got = run_experiment({"d": train}, kb, cfg).to_json()
+    want = per_learner_experiment(train, kb, cfg).to_json()
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("field", ["methods", "learners"])
+def test_duplicate_methods_or_learners_rejected(field):
+    values = {"methods": ("baseline", "expand", "baseline"), "learners": ("tree", "tree")}
+    with pytest.raises(ValueError, match="duplicate"):
+        HarnessConfig(**{field: values[field]})
 
 
 def test_identical_methods_report_no_difference():
@@ -74,7 +124,7 @@ def test_maa_is_max_over_learners():
     train, _, kb, _ = small_scenario()
     per_learner = []
     for kind in ("tree", "knn", "linear"):
-        accs = cross_validate(train, base_features(train), kb, kind, 5, 0)
+        accs = cross_validate(train, base_features(train), kb, [kind], 5, 0)[kind]
         per_learner.append(sum(accs) / len(accs))
     got = maa(train, kb, folds=5)
     assert got == pytest.approx(max(per_learner))

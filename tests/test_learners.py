@@ -271,7 +271,7 @@ def dataset_from(rows, labels):
 def test_cv_constant_labels_all_ones():
     ds = dataset_from([["a"], ["b"], ["c"], ["d"]], [1, 1, 1, 1])
     for kind in ("tree", "knn", "linear"):
-        accs = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, kind, folds=2, seed=0)
+        accs = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, [kind], folds=2, seed=0)[kind]
         assert accs == [1.0, 1.0]
 
 
@@ -279,8 +279,8 @@ def test_cv_same_seed_is_identical():
     rows = [[v] for v in "aabbccddee"]
     labels = [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
     ds = dataset_from(rows, labels)
-    a = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, "tree", folds=5, seed=7)
-    b = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, "tree", folds=5, seed=7)
+    a = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, ["tree"], folds=5, seed=7)["tree"]
+    b = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, ["tree"], folds=5, seed=7)["tree"]
     assert a == b
     assert stratified_folds(labels, 5, 7) == stratified_folds(labels, 5, 7)
 
@@ -288,7 +288,13 @@ def test_cv_same_seed_is_identical():
 def test_cv_rejects_more_folds_than_examples():
     ds = dataset_from([["a"], ["b"]], [0, 1])
     with pytest.raises(ValueError):
-        cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, "tree", folds=3, seed=0)
+        cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, ["tree"], folds=3, seed=0)
+
+
+def test_cv_rejects_duplicate_learners():
+    ds = dataset_from([["a"], ["b"], ["c"], ["d"]], [0, 1, 0, 1])
+    with pytest.raises(ValueError, match="duplicate"):
+        cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, ["tree", "tree"], folds=2, seed=0)
 
 
 def test_stratified_folds_enumerated():
