@@ -38,14 +38,13 @@ def _add_gen_args(p: argparse.ArgumentParser) -> None:
                    help="fraction of a feature's values a relation must cover")
 
 
-def _gen_config(args, depth=None) -> GenerationConfig:
-    cfg = GenerationConfig(aggregator_family=args.aggregator,
-                           coverage_threshold=args.coverage)
-    if depth is not None:
-        cfg.depth = depth
-    if getattr(args, "min_size", None) is not None:
-        cfg.min_recursive_size = args.min_size
-    return cfg
+def _gen_config(args) -> GenerationConfig:
+    """One constructor call, so `GenerationConfig` validates every option."""
+    given = {"depth": getattr(args, "depth", None),
+             "min_recursive_size": getattr(args, "min_size", None)}
+    return GenerationConfig(aggregator_family=args.aggregator,
+                            coverage_threshold=args.coverage,
+                            **{k: v for k, v in given.items() if v is not None})
 
 
 def _dump(obj: dict, path: str | None) -> None:
@@ -98,7 +97,7 @@ def cmd_expand(args) -> int:
 def cmd_generate(args) -> int:
     ds = load_dataset_file(args.data)
     kb = load_kb_files(args.kb_schema, args.kb_triples)
-    cfg = _gen_config(args, depth=args.depth)
+    cfg = _gen_config(args)
     stats = GenerationStats()
     feats = generate_features(ds, base_features(ds), kb, cfg, stats=stats)
     _dump(features_to_document(feats, stats.summary()), args.out)
@@ -110,7 +109,7 @@ def cmd_deep(args) -> int:
     ds = load_dataset_file(args.data)
     kb = load_kb_files(args.kb_schema, args.kb_triples)
     cfg = DeepConfig(min_node_size=args.min_node_size,
-                     generation=_gen_config(args, depth=args.depth),
+                     generation=_gen_config(args),
                      max_tree_depth=args.max_tree_depth)
     feats, report = deep_generate(ds, base_features(ds), kb, cfg)
     _dump(features_to_document(feats, report.to_json()), args.out)
@@ -134,8 +133,7 @@ def cmd_eval(args) -> int:
         folds=args.folds,
         seed=args.seed,
         generation_scope=args.generation_scope,
-        generation=GenerationConfig(aggregator_family=args.aggregator,
-                                    coverage_threshold=args.coverage),
+        generation=_gen_config(args),
     )
     result = run_experiment(datasets, kb, cfg)
     _dump(result.to_json(), args.out)

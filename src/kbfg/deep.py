@@ -10,12 +10,13 @@ the pool of features generated inside the local contexts, which a single
 global generation pass can miss when an uninformative majority of examples
 drowns out a locally strong candidate.
 
-The report aggregates, per split-tree depth: candidate problems tried by
-the node-level generator (its own sources only, not nested recursion),
-features generated, candidates filtered, the size of surviving problems
-relative to the node, the information gain of the generated features at
-their node, and the best information gain among the node's plain (not
-induced) features.
+The report is a reduction, per split-tree depth, over the candidate records
+of the node-level generator (its own sources only, not nested recursion):
+candidates tried, features generated, candidates filtered and the size of
+surviving problems relative to the node.  Each node is evaluated once: one
+information-gain pass over the node's features and its generated ones gives
+the split, the gains of the generated features and the best gain among the
+plain (not induced) features, which the report also averages.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from kbfg.data import Dataset, materialize
 from kbfg.features import ClassifierFeature, Feature, serialize_feature
 from kbfg.kb import KnowledgeBase
 from kbfg.learners import column_information_gain
-from kbfg.recursive import GenerationConfig, GenerationStats, _generate
+from kbfg.recursive import (
+    CandidateRecord,
+    GenerationConfig,
+    GenerationStats,
+    generate_features,
+)
 from kbfg.values import value_sort_key
 
 
@@ -40,14 +46,15 @@ class DeepConfig:
     def __post_init__(self):
         if self.min_node_size < 2:
             raise ValueError("min_node_size must be >= 2")
+        if self.max_tree_depth < 1:
+            raise ValueError("max_tree_depth must be >= 1")
 
 
 @dataclass
 class DepthStats:
-    candidates_tried: int = 0
-    features_generated: int = 0
-    filtered_count: int = 0
-    size_ratios: List[float] = field(default_factory=list)
+    """The node-level candidate records and information gains of one depth."""
+
+    records: List[CandidateRecord] = field(default_factory=list)
     generated_igs: List[float] = field(default_factory=list)
     best_plain_igs: List[float] = field(default_factory=list)
 
@@ -55,12 +62,14 @@ class DepthStats:
         def mean(xs):
             return sum(xs) / len(xs) if xs else None
 
+        summary = GenerationStats(self.records).summary()
         return {
             "depth": depth,
-            "candidates_tried": self.candidates_tried,
-            "features_generated": self.features_generated,
-            "filtered_count": self.filtered_count,
-            "mean_size_ratio": mean(self.size_ratios),
+            "candidates_tried": summary["candidates_tried"],
+            "features_generated": summary["features_generated"],
+            "filtered_count": sum(summary["filtered"].values()),
+            "mean_size_ratio": mean([r.n_objects / r.n_examples for r in self.records
+                                     if r.status == "generated"]),
             "mean_generated_ig": mean(self.generated_igs),
             "mean_best_plain_ig": mean(self.best_plain_igs),
         }
@@ -74,11 +83,11 @@ class GenerationReport:
         return self.per_depth.setdefault(depth, DepthStats())
 
     def check(self) -> None:
-        for depth, row in self.per_depth.items():
-            if row.candidates_tried != row.features_generated + row.filtered_count:
+        for row in self.rows():
+            if row["candidates_tried"] != row["features_generated"] + row["filtered_count"]:
                 raise AssertionError(
-                    f"depth {depth}: tried {row.candidates_tried} != generated "
-                    f"{row.features_generated} + filtered {row.filtered_count}")
+                    f"depth {row['depth']}: tried {row['candidates_tried']} != generated "
+                    f"{row['features_generated']} + filtered {row['filtered_count']}")
 
     def rows(self) -> List[dict]:
         return [self.per_depth[d].row(d) for d in sorted(self.per_depth)]
@@ -107,11 +116,15 @@ def feature_igs(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
     return [column_information_gain(matrix, j) for j in range(len(features))]
 
 
-def select_feature(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> Feature:
-    """The feature with maximal information gain on the node; name ties break low."""
+def select_feature(features: Sequence[Feature], igs: Sequence[float]) -> Feature:
+    """The feature with maximal information gain, `igs[j]` being that of `features[j]`.
+
+    Gains within 1e-12 of the maximum tie; ties break to the lowest name.
+    """
     if not features:
         raise ValueError("select_feature requires at least one feature")
-    igs = feature_igs(ds, features, kb)
+    if len(igs) != len(features):
+        raise ValueError(f"{len(igs)} gains for {len(features)} features")
     best_ig = max(igs)
     tied = [j for j in range(len(features)) if abs(igs[j] - best_ig) <= 1e-12]
     return features[min(tied, key=lambda j: features[j].name)]
@@ -140,20 +153,16 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
             return
 
         stats = GenerationStats()
-        generated = _generate(node_ds, feats, kb, cfg.generation,
-                              cfg.generation.depth, stats, level=0)
+        generated = generate_features(node_ds, feats, kb, cfg.generation, stats)
+        # generation never returns a name in its input, so `extended` has no duplicates
+        extended = feats + generated
+        igs = feature_igs(node_ds, extended, kb)
         row = report.at(depth)
-        top = [r for r in stats.records if r.level == 0]
-        row.candidates_tried += len(top)
-        row.features_generated += sum(1 for r in top if r.status == "generated")
-        row.filtered_count += sum(1 for r in top if r.status != "generated")
-        row.size_ratios += [r.n_objects / len(node_ds) for r in top
-                            if r.status == "generated"]
-        if generated:
-            row.generated_igs += feature_igs(node_ds, generated, kb)
-        plain = [f for f in feats if not isinstance(f, ClassifierFeature)]
+        row.records += [r for r in stats.records if r.level == 0]
+        row.generated_igs += igs[len(feats):]
+        plain = [ig for f, ig in zip(feats, igs) if not isinstance(f, ClassifierFeature)]
         if plain:
-            row.best_plain_igs.append(max(feature_igs(node_ds, plain, kb)))
+            row.best_plain_igs.append(max(plain))
 
         for g in generated:
             key = serialize_feature(g)
@@ -161,9 +170,7 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
                 seen.add(key)
                 collected.append(g)
 
-        have = {f.name for f in feats}
-        extended = feats + [g for g in generated if g.name not in have]
-        best = select_feature(node_ds, extended, kb)
+        best = select_feature(extended, igs)
         column = materialize(node_ds, [best], kb).column(0)
         groups: Dict = {}
         for i, v in enumerate(column):
@@ -173,6 +180,6 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
         for v in sorted(groups, key=value_sort_key):
             visit(node_ds.subset(groups[v]), extended, depth + 1)
 
-    visit(ds if isinstance(ds, Dataset) else Dataset(list(ds), []), list(features), 0)
+    visit(ds, list(features), 0)
     report.check()
     return collected, report

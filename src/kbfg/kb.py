@@ -3,9 +3,10 @@
 A knowledge base is a set of named binary relations.  Each relation has a
 departure type and a codomain type (bare type tokens, used for domain
 partitioning), a set of (subject, object) pairs, and a flag marking it as
-functional (at most one object per subject).  Relations are forward-indexed
-by subject; the store is immutable after loading and safe for concurrent
-reads.
+functional (at most one object per subject).  The pairs are stored once, as
+a forward index from subject to objects; the pair set and the object set
+are views over it.  The store is immutable after loading and safe for
+concurrent reads.
 
 File formats (UTF-8, tab-separated, ``#`` comment lines and blank lines
 skipped):
@@ -30,25 +31,18 @@ class Relation:
     departure_type: str
     codomain_type: str
     is_function: bool
-    pairs: FrozenSet[Tuple[str, str]] = frozenset()
     index: Dict[str, FrozenSet[str]] = field(default_factory=dict)
+
+    @property
+    def pairs(self) -> FrozenSet[Tuple[str, str]]:
+        return frozenset((s, o) for s, objs in self.index.items() for o in objs)
 
     @property
     def subjects(self) -> FrozenSet[str]:
         return frozenset(self.index)
 
     def objects(self) -> FrozenSet[str]:
-        return frozenset(o for _, o in self.pairs)
-
-
-def _build_relation(name: str, departure: str, codomain: str, is_function: bool,
-                    pairs: Iterable[Tuple[str, str]]) -> Relation:
-    pair_set = frozenset(pairs)
-    index: Dict[str, Set[str]] = {}
-    for s, o in pair_set:
-        index.setdefault(s, set()).add(o)
-    frozen = {s: frozenset(objs) for s, objs in index.items()}
-    return Relation(name, departure, codomain, is_function, pair_set, frozen)
+        return frozenset(o for objs in self.index.values() for o in objs)
 
 
 @dataclass
@@ -118,8 +112,7 @@ def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> Know
             raise KBError(f"schema line {lineno}: duplicate relation declaration {name!r}")
         decls[name] = (departure, codomain, kind == "fn")
 
-    pairs: Dict[str, Set[Tuple[str, str]]] = {name: set() for name in decls}
-    fn_object: Dict[Tuple[str, str], str] = {}
+    index: Dict[str, Dict[str, Set[str]]] = {name: {} for name in decls}
     for lineno, line in _content_lines(triples_source):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -129,17 +122,17 @@ def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> Know
             raise KBError(f"triples line {lineno}: undeclared relation {rel!r}")
         if not subj or not obj:
             raise KBError(f"triples line {lineno}: empty subject or object")
-        if decls[rel][2]:
-            prev = fn_object.get((rel, subj))
-            if prev is not None and prev != obj:
-                raise KBError(
-                    f"triples line {lineno}: function relation {rel!r} maps {subj!r} "
-                    f"to both {prev!r} and {obj!r}")
-            fn_object[(rel, subj)] = obj
-        pairs[rel].add((subj, obj))
+        objs = index[rel].setdefault(subj, set())
+        if decls[rel][2] and objs and obj not in objs:
+            [prev] = objs
+            raise KBError(
+                f"triples line {lineno}: function relation {rel!r} maps {subj!r} "
+                f"to both {prev!r} and {obj!r}")
+        objs.add(obj)
 
     relations = {
-        name: _build_relation(name, dep, cod, fn, pairs[name])
+        name: Relation(name, dep, cod, fn,
+                       {s: frozenset(objs) for s, objs in index[name].items()})
         for name, (dep, cod, fn) in decls.items()
     }
     return KnowledgeBase(relations)

@@ -14,9 +14,11 @@ objects are first split into one candidate problem per knowledge-base
 departure type covering them, and each surviving candidate emits its own
 feature.
 
-Candidates are silently discarded (but counted) when they have fewer than
-``min_recursive_size`` objects, a single object class, or no applicable
-relations.
+A candidate with fewer than ``min_recursive_size`` objects, a single object
+class, or no applicable relations is dropped.  Every candidate looked at,
+dropped or not, is recorded once as a ``CandidateRecord`` whose status says
+which filter it met; the ``generate`` summary and the ``deep`` per-depth
+report are reductions over those records.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from kbfg.aggregators import FAMILIES
 from kbfg.data import Dataset, Example, materialize
 from kbfg.expand import _expand_one
 from kbfg.features import (
@@ -35,16 +38,8 @@ from kbfg.features import (
     evaluate_feature,
 )
 from kbfg.kb import KnowledgeBase, Relation
-from kbfg.learners import TrainConfig, majority_label, train_model
+from kbfg.learners import LEARNER_KINDS, TrainConfig, majority_label, train_model
 from kbfg.values import iter_atoms
-
-
-class FilteredOut(Exception):
-    """Every candidate problem for the feature was discarded."""
-
-    def __init__(self, reasons: List[str]):
-        super().__init__("; ".join(reasons))
-        self.reasons = reasons
 
 
 @dataclass
@@ -61,6 +56,12 @@ class GenerationConfig:
             raise ValueError("depth must be >= 0")
         if self.min_recursive_size < 1:
             raise ValueError("min_recursive_size must be >= 1")
+        if not 0 < self.coverage_threshold <= 1:
+            raise ValueError("coverage_threshold must be in (0, 1]")
+        if self.aggregator_family not in FAMILIES:
+            raise ValueError(f"unknown aggregator family {self.aggregator_family!r}")
+        if self.learner_kind not in LEARNER_KINDS:
+            raise ValueError(f"unknown learner {self.learner_kind!r}")
 
 
 @dataclass
@@ -68,7 +69,6 @@ class RecursiveProblem:
     source_name: str
     objects: List[Tuple[str, int]]      # (value token, majority label), sorted by token
     features: List[Feature]             # feature map over the value column
-    depth: int
     partition_type: Optional[str] = None
 
     def as_dataset(self) -> Dataset:
@@ -128,16 +128,14 @@ def _candidate_features(values: List[str], relations: List[Relation], kb: Knowle
 
 
 def create_new_problem(f: Feature, ds: Dataset, kb: KnowledgeBase,
-                       cfg: GenerationConfig, depth: Optional[int] = None,
-                       stats: Optional[GenerationStats] = None,
+                       cfg: GenerationConfig, stats: Optional[GenerationStats] = None,
                        level: int = 0) -> List[RecursiveProblem]:
-    """Candidate problems for one source feature.
+    """The surviving candidate problems for one source feature, possibly none.
 
     Atom-valued sources yield at most one problem; set-valued sources yield
-    one per covering departure type.  Raises FilteredOut when no candidate
-    survives the size / single-class / no-relations filters.
+    one per covering departure type.  Every candidate, surviving or not, is
+    recorded in `stats` with its status.
     """
-    depth = cfg.depth if depth is None else depth
     stats = stats if stats is not None else GenerationStats()
     per_example: List[List[str]] = []
     any_set = False
@@ -154,7 +152,6 @@ def create_new_problem(f: Feature, ds: Dataset, kb: KnowledgeBase,
         candidates = [(None, all_values)]
 
     problems: List[RecursiveProblem] = []
-    reasons: List[str] = []
     for ptype, values in candidates:
         status = None
         feats: List[Feature] = []
@@ -175,12 +172,7 @@ def create_new_problem(f: Feature, ds: Dataset, kb: KnowledgeBase,
                                   status or "generated", ptype))
         if status is None:
             problems.append(RecursiveProblem(
-                f.name, [(v, label_of[v]) for v in values], feats, depth, ptype))
-        else:
-            tag = f"{ptype}: {status}" if ptype else status
-            reasons.append(tag)
-    if not problems:
-        raise FilteredOut(reasons or ["no values"])
+                f.name, [(v, label_of[v]) for v in values], feats, ptype))
     return problems
 
 
@@ -199,7 +191,7 @@ def _partition_by_type(values: List[str], kb: KnowledgeBase) -> List[Tuple[str, 
 
 
 def generate_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
-                      cfg: Optional[GenerationConfig] = None, depth: Optional[int] = None,
+                      cfg: Optional[GenerationConfig] = None,
                       stats: Optional[GenerationStats] = None) -> List[Feature]:
     """Emit one induced feature per surviving (source feature x partition).
 
@@ -210,9 +202,8 @@ def generate_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBas
     input feature order.
     """
     cfg = cfg or GenerationConfig()
-    depth = cfg.depth if depth is None else depth
     stats = stats if stats is not None else GenerationStats()
-    return _generate(ds, features, kb, cfg, depth, stats, level=0)
+    return _generate(ds, features, kb, cfg, cfg.depth, stats, level=0)
 
 
 def _generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
@@ -221,18 +212,12 @@ def _generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
     out: List[Feature] = []
     seen_names = {f.name for f in features}
     for f in features:
-        try:
-            problems = create_new_problem(f, ds, kb, cfg, depth, stats, level)
-        except FilteredOut:
-            continue
-        for problem in problems:
+        for problem in create_new_problem(f, ds, kb, cfg, stats, level):
             feats = list(problem.features)
             problem_ds = problem.as_dataset()
             if depth > 0:
-                nested = _generate(problem_ds, feats, kb, cfg, depth - 1, stats,
-                                   level + 1)
-                have = {g.name for g in feats}
-                feats.extend(g for g in nested if g.name not in have)
+                # never returns a name in its input, so the extension is disjoint
+                feats += _generate(problem_ds, feats, kb, cfg, depth - 1, stats, level + 1)
             model = train_model(cfg.learner_kind, materialize(problem_ds, feats, kb),
                                 cfg.train)
             new = ClassifierFeature(inner=f, model=model, value_features=tuple(feats),

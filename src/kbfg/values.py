@@ -32,9 +32,7 @@ def normalize_value(raw: Union[str, Iterable[str], None]) -> FeatureValue:
     for tok in vs:
         if not isinstance(tok, str) or not tok:
             raise ValueError(f"value set member {tok!r} is not a non-empty token")
-    if len(vs) == 1:
-        # a singleton stays a set: set-ness is part of the value's identity
-        return vs
+    # a singleton stays a set: set-ness is part of the value's identity
     return vs
 
 

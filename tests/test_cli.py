@@ -85,3 +85,31 @@ def test_eval_generation_scope_flag(scenario_dir, tmp_path):
                  "--learners", "tree", "--methods", "baseline,recursive_d1",
                  "--generation-scope", "dataset", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["methods"] == ["baseline", "recursive_d1"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("generate", ["--depth", "-1"]),
+    ("generate", ["--min-size", "0"]),
+    ("generate", ["--min-size", "-3"]),
+    ("generate", ["--coverage", "7"]),
+    ("deep", ["--depth", "-1"]),
+    ("deep", ["--min-size", "0"]),
+    ("deep", ["--max-tree-depth", "-1"]),
+    ("deep", ["--max-tree-depth", "0"]),
+    ("eval", ["--coverage", "7"]),
+    ("eval", ["--coverage", "0"]),
+], ids=lambda v: v if isinstance(v, str) else "=".join(v))
+def test_invalid_generation_options_rejected(scenario_dir, tmp_path, command, flags):
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        main([command, *kb_args(scenario_dir), *flags, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_generate_min_size_reaches_config(scenario_dir, tmp_path):
+    out = tmp_path / "features.json"
+    assert main(["generate", *kb_args(scenario_dir), "--min-size", "1000",
+                 "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["features_generated"] == 0
+    assert summary["filtered"] == {"too_small": summary["candidates_tried"]}

@@ -24,6 +24,23 @@ def masked_scenario(seed=3):
     return gen_disorder_scenario(spec)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_tree_depth": 0},
+    {"max_tree_depth": -1},
+    {"min_node_size": 1},
+], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+def test_deep_config_rejects_invalid(kwargs):
+    with pytest.raises(ValueError):
+        DeepConfig(**kwargs)
+
+
+def test_select_feature_needs_one_gain_per_feature():
+    with pytest.raises(ValueError):
+        select_feature([BaseFeature("f0"), BaseFeature("f1")], [0.5])
+    with pytest.raises(ValueError):
+        select_feature([], [])
+
+
 def test_pure_labels_generate_nothing():
     ds = toy_ds([["a"], ["b"], ["c"]], [1, 1, 1])
     feats, report = deep_generate(ds, [BaseFeature("f0")], EMPTY_KB, DeepConfig())
@@ -72,7 +89,7 @@ def test_masked_feature_recovered_in_female_context():
 def test_root_split_is_gender_and_orthogonality():
     train, _, kb, _ = masked_scenario()
     feats = base_features(train)
-    best = select_feature(train, feats, kb)
+    best = select_feature(feats, feature_igs(train, feats, kb))
     assert best == BaseFeature("gender")
     # within each child of the split, the split feature is constant: IG 0
     column = materialize(train, [best], kb).column(0)
@@ -96,19 +113,19 @@ def test_select_feature_prefers_separating_column():
     rows = [["a", "x"], ["a", "y"], ["b", "x"], ["b", "y"]]
     ds = toy_ds(rows, [1, 1, 0, 0])
     feats = [BaseFeature("f0"), BaseFeature("f1")]
-    assert select_feature(ds, feats, EMPTY_KB) == BaseFeature("f0")
+    assert select_feature(feats, feature_igs(ds, feats, EMPTY_KB)) == BaseFeature("f0")
 
 
 def test_select_feature_all_constant_ties_by_name():
     ds = toy_ds([["c", "c"], ["c", "c"]], [1, 0], names=["zeta", "alpha"])
     feats = [BaseFeature("zeta"), BaseFeature("alpha")]
-    assert select_feature(ds, feats, EMPTY_KB) == BaseFeature("alpha")
+    assert select_feature(feats, feature_igs(ds, feats, EMPTY_KB)) == BaseFeature("alpha")
 
 
 def test_select_feature_matches_exhaustive_ig():
     train, _, kb, _ = masked_scenario()
     feats = base_features(train)
-    best = select_feature(train, feats, kb)
+    best = select_feature(feats, feature_igs(train, feats, kb))
     matrix = materialize(train, feats, kb)
     igs = [column_information_gain(matrix, j) for j in range(len(feats))]
     assert feature_igs(train, [best], kb)[0] == pytest.approx(max(igs))

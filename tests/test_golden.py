@@ -1,0 +1,59 @@
+"""Byte-identity pins for the `generate` and `deep` outputs.
+
+Each digest is the SHA-256 of a document dumped the way the CLI writes it
+(``json.dumps(..., indent=2, sort_keys=True)``): the `generate` feature
+document with its filtering summary, and the `deep` feature document and
+per-depth report.  A change that alters any of these bytes must say so and
+give the diff before the digest is updated.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from kbfg.deep import DeepConfig, deep_generate
+from kbfg.features import features_to_document
+from kbfg.harness import base_features
+from kbfg.recursive import GenerationConfig, GenerationStats, generate_features
+from kbfg.synth import ScenarioSpec, gen_disorder_scenario
+
+SCENARIOS = {
+    "screening-seed1": ScenarioSpec(seed=1),
+    "masked-seed3": ScenarioSpec(seed=3, balanced_surname_groups=True, desert_fraction=0.7),
+}
+
+GOLDEN = {
+    "masked-seed3": {
+        "generate": "d3a30f5943eac7cd164cf6b8fe6d65310b2412c3541baf61ae131f6aed2ec87d",
+        "deep": "bb235264d02b20a89b833c112aa8bbede714bcde8cfe44c7e7987d60ef8dba51",
+        "deep_report": "758d094670bd793d38c180a4e584cfc1b0f424f95815895f5acd4ecaecd4eb38",
+    },
+    "screening-seed1": {
+        "generate": "896c72d8e5724fd1b4c29f28dffca1dbfbda4b9a9c05d86f73356943151d0500",
+        "deep": "03193913a3deb25226b201237ca68ebb05b88f0bf5de637bf50b60fcc3b7e75b",
+        "deep_report": "9ccf26360bffab2af200340bf16d5625ebc7466e21614bf65fffe1e919086c1e",
+    },
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def output_digests(spec: ScenarioSpec) -> dict:
+    train, _, kb, _ = gen_disorder_scenario(spec)
+    feats = base_features(train)
+    stats = GenerationStats()
+    generated = generate_features(train, feats, kb, GenerationConfig(), stats=stats)
+    deep_feats, report = deep_generate(train, feats, kb, DeepConfig())
+    return {
+        "generate": _digest(features_to_document(generated, stats.summary())),
+        "deep": _digest(features_to_document(deep_feats, report.to_json())),
+        "deep_report": _digest(report.to_json()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_outputs_match_golden_digests(name):
+    assert output_digests(SCENARIOS[name]) == GOLDEN[name]

@@ -11,7 +11,6 @@ from kbfg.features import (
 )
 from kbfg.kb import load_kb
 from kbfg.recursive import (
-    FilteredOut,
     GenerationConfig,
     GenerationStats,
     apply_generated,
@@ -58,6 +57,27 @@ def patients(surnames):
     return Dataset(examples, [("surname", "surname")])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"depth": -1},
+    {"min_recursive_size": 0},
+    {"min_recursive_size": -3},
+    {"coverage_threshold": 0.0},
+    {"coverage_threshold": -0.5},
+    {"coverage_threshold": 1.01},
+    {"coverage_threshold": 7.0},
+    {"aggregator_family": "all"},
+    {"learner_kind": "svm"},
+], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+def test_generation_config_rejects_invalid(kwargs):
+    with pytest.raises(ValueError):
+        GenerationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("coverage", [0.05, 1.0])
+def test_generation_config_accepts_coverage_in_range(coverage):
+    assert GenerationConfig(coverage_threshold=coverage).coverage_threshold == coverage
+
+
 def test_create_problem_objects_and_labels():
     kb = load_kb(["countryOf\tnowak\tpoland", "countryOf\thaddad\tegypt"],
                  ["countryOf\tsurname\tcountry\tfn"])
@@ -89,30 +109,30 @@ def test_create_problem_label_tie_is_zero():
 def test_create_problem_size_filter():
     kb, surnames = climate_kb()
     ds = patients(dict(list(sorted(surnames.items()))[:3]))
-    with pytest.raises(FilteredOut) as err:
-        create_new_problem(BaseFeature("surname"), ds, kb,
-                           GenerationConfig(min_recursive_size=8))
-    assert "too_small" in str(err.value)
+    stats = GenerationStats()
+    assert create_new_problem(BaseFeature("surname"), ds, kb,
+                              GenerationConfig(min_recursive_size=8), stats) == []
+    assert [r.status for r in stats.records] == ["too_small"]
 
 
 def test_create_problem_single_class_filter():
     kb, surnames = climate_kb()
     only_desert = {s: c for s, c in surnames.items() if c in DESERT}
     ds = patients(only_desert)
-    with pytest.raises(FilteredOut) as err:
-        create_new_problem(BaseFeature("surname"), ds, kb,
-                           GenerationConfig(min_recursive_size=2))
-    assert "single_class" in str(err.value)
+    stats = GenerationStats()
+    assert create_new_problem(BaseFeature("surname"), ds, kb,
+                              GenerationConfig(min_recursive_size=2), stats) == []
+    assert [r.status for r in stats.records] == ["single_class"]
 
 
 def test_create_problem_no_relations_filter():
     kb, _ = climate_kb()
     ds = Dataset([Example(f"g{i}", i % 2, {"gender": "f" if i % 2 else "m"})
                   for i in range(4)], [("gender", "gender")])
-    with pytest.raises(FilteredOut) as err:
-        create_new_problem(BaseFeature("gender"), ds, kb,
-                           GenerationConfig(min_recursive_size=2))
-    assert "no_relations" in str(err.value)
+    stats = GenerationStats()
+    assert create_new_problem(BaseFeature("gender"), ds, kb,
+                              GenerationConfig(min_recursive_size=2), stats) == []
+    assert [r.status for r in stats.records] == ["no_relations"]
 
 
 def test_generate_depth0_no_relations_is_empty():
