@@ -47,6 +47,18 @@ def _gen_config(args) -> GenerationConfig:
                             **{k: v for k, v in given.items() if v is not None})
 
 
+def _deep_config(args) -> DeepConfig:
+    return DeepConfig(min_node_size=args.min_node_size, generation=_gen_config(args),
+                      max_tree_depth=args.max_tree_depth)
+
+
+def _harness_config(args) -> HarnessConfig:
+    return HarnessConfig(methods=args.methods.split(","), learners=args.learners.split(","),
+                         folds=args.folds, seed=args.seed,
+                         generation_scope=args.generation_scope,
+                         generation=_gen_config(args))
+
+
 def _dump(obj: dict, path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
@@ -56,7 +68,7 @@ def _dump(obj: dict, path: str | None) -> None:
         print(text)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, cfg: None) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.scenario == "disorder":
         spec = ScenarioSpec(seed=args.seed, n_train=args.n_train, n_test=args.n_test,
@@ -85,7 +97,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args, cfg: None) -> int:
     ds = load_dataset_file(args.data)
     kb = load_kb_files(args.kb_schema, args.kb_triples)
     feats = expand_features(ds, base_features(ds), kb, args.aggregator, args.coverage)
@@ -94,10 +106,9 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, cfg: GenerationConfig) -> int:
     ds = load_dataset_file(args.data)
     kb = load_kb_files(args.kb_schema, args.kb_triples)
-    cfg = _gen_config(args)
     stats = GenerationStats()
     feats = generate_features(ds, base_features(ds), kb, cfg, stats=stats)
     _dump(features_to_document(feats, stats.summary()), args.out)
@@ -105,12 +116,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_deep(args) -> int:
+def cmd_deep(args, cfg: DeepConfig) -> int:
     ds = load_dataset_file(args.data)
     kb = load_kb_files(args.kb_schema, args.kb_triples)
-    cfg = DeepConfig(min_node_size=args.min_node_size,
-                     generation=_gen_config(args),
-                     max_tree_depth=args.max_tree_depth)
     feats, report = deep_generate(ds, base_features(ds), kb, cfg)
     _dump(features_to_document(feats, report.to_json()), args.out)
     if args.report:
@@ -119,7 +127,7 @@ def cmd_deep(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg: HarnessConfig) -> int:
     kb = load_kb_files(args.kb_schema, args.kb_triples)
     datasets = {}
     for path in args.data:
@@ -127,14 +135,6 @@ def cmd_eval(args) -> int:
         if len(args.data) > 1:
             name = os.path.basename(os.path.dirname(path)) or name
         datasets[name] = load_dataset_file(path)
-    cfg = HarnessConfig(
-        methods=args.methods.split(","),
-        learners=args.learners.split(","),
-        folds=args.folds,
-        seed=args.seed,
-        generation_scope=args.generation_scope,
-        generation=_gen_config(args),
-    )
     result = run_experiment(datasets, kb, cfg)
     _dump(result.to_json(), args.out)
     print(result.to_text())
@@ -144,6 +144,7 @@ def cmd_eval(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kbfg",
                                      description="knowledge-based feature generation")
+    parser.set_defaults(config=lambda args: None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic scenario")
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=None,
                    help="minimum objects for a derived problem")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, config=_gen_config)
 
     p = sub.add_parser("deep", help="divide-&-conquer generation")
     _add_kb_args(p)
@@ -186,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tree-depth", type=int, default=10)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None, help="also write the report JSON here")
-    p.set_defaults(func=cmd_deep)
+    p.set_defaults(func=cmd_deep, config=_deep_config)
 
     p = sub.add_parser("eval", help="compare methods x learners")
     p.add_argument("--data", nargs="+", required=True)
@@ -199,14 +200,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generation-scope", choices=("fold", "dataset"), default="fold")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, config=_harness_config)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        # every option is checked before any file is read
+        cfg = args.config(args)
+    except ValueError as e:
+        parser.error(str(e))
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

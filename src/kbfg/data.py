@@ -45,12 +45,6 @@ class Dataset:
     def feature_names(self) -> List[str]:
         return [name for name, _ in self.schema]
 
-    def value_type(self, feature_name: str) -> str:
-        for name, vtype in self.schema:
-            if name == feature_name:
-                return vtype
-        raise KeyError(feature_name)
-
     @property
     def labels(self) -> List[int]:
         return [x.label for x in self.examples]
@@ -169,14 +163,13 @@ class FeatureMatrix:
         return len(self.rows)
 
 
-def materialize(ds, features: Sequence[Feature], kb: KnowledgeBase) -> FeatureMatrix:
+def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> FeatureMatrix:
     """Evaluate every feature on every example; labels ride along.
 
-    Accepts a Dataset or a plain sequence of examples.  Evaluation is pure,
-    so rows are independent and the result is deterministic.
+    Evaluation is pure, so rows are independent and the result is
+    deterministic.
     """
-    examples = ds.examples if isinstance(ds, Dataset) else list(ds)
     if not features:
         raise ValueError("materialize requires at least one feature")
-    rows = [[evaluate_feature(f, x, kb) for f in features] for x in examples]
-    return FeatureMatrix(rows, [x.label for x in examples], [f.name for f in features])
+    rows = [[evaluate_feature(f, x, kb) for f in features] for x in ds.examples]
+    return FeatureMatrix(rows, ds.labels, [f.name for f in features])

@@ -13,10 +13,12 @@ drowns out a locally strong candidate.
 The report is a reduction, per split-tree depth, over the candidate records
 of the node-level generator (its own sources only, not nested recursion):
 candidates tried, features generated, candidates filtered and the size of
-surviving problems relative to the node.  Each node is evaluated once: one
-information-gain pass over the node's features and its generated ones gives
-the split, the gains of the generated features and the best gain among the
-plain (not induced) features, which the report also averages.
+surviving problems relative to the node.  Each node's matrix is evaluated
+once: one information-gain pass over its columns, the node's features and
+its generated ones, gives the split, the gains of the generated features
+and the best gain among the plain (not induced) features, which the report
+also averages; the split groups come from the chosen column of the same
+matrix.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from kbfg.data import Dataset, materialize
+from kbfg.data import Dataset, FeatureMatrix, materialize
 from kbfg.features import ClassifierFeature, Feature, serialize_feature
 from kbfg.kb import KnowledgeBase
-from kbfg.learners import column_information_gain
+from kbfg.learners import column_information_gain, groups_by_value
 from kbfg.recursive import (
     CandidateRecord,
     GenerationConfig,
@@ -111,9 +113,9 @@ class GenerationReport:
         return "\n".join(lines)
 
 
-def feature_igs(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> List[float]:
-    matrix = materialize(ds, features, kb)
-    return [column_information_gain(matrix, j) for j in range(len(features))]
+def feature_igs(matrix: FeatureMatrix) -> List[float]:
+    """The information gain of each column of `matrix`, in column order."""
+    return [column_information_gain(matrix, j) for j in range(len(matrix.feature_names))]
 
 
 def select_feature(features: Sequence[Feature], igs: Sequence[float]) -> Feature:
@@ -156,7 +158,8 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
         generated = generate_features(node_ds, feats, kb, cfg.generation, stats)
         # generation never returns a name in its input, so `extended` has no duplicates
         extended = feats + generated
-        igs = feature_igs(node_ds, extended, kb)
+        matrix = materialize(node_ds, extended, kb)
+        igs = feature_igs(matrix)
         row = report.at(depth)
         row.records += [r for r in stats.records if r.level == 0]
         row.generated_igs += igs[len(feats):]
@@ -171,10 +174,9 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
                 collected.append(g)
 
         best = select_feature(extended, igs)
-        column = materialize(node_ds, [best], kb).column(0)
-        groups: Dict = {}
-        for i, v in enumerate(column):
-            groups.setdefault(v, []).append(i)
+        j = next(j for j, f in enumerate(extended) if f is best)
+        groups = groups_by_value(matrix.column(j))
+        del matrix  # freed before the children materialize their own rows
         if len(groups) < 2:
             return
         for v in sorted(groups, key=value_sort_key):

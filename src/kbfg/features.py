@@ -81,12 +81,7 @@ class ClassifierFeature:
         return hash(self.name)
 
     def _derive_name(self) -> str:
-        payload = {
-            "inner": self.inner.to_json(),
-            "model": self.model.to_json(),
-            "value_features": [vf.to_json() for vf in self.value_features],
-            "partition_type": self.partition_type,
-        }
+        payload = {k: v for k, v in self.to_json().items() if k not in ("kind", "name")}
         digest = hashlib.sha1(_canon(payload).encode("utf-8")).hexdigest()[:8]
         scope = self.inner.name if self.partition_type is None \
             else f"{self.inner.name}|{self.partition_type}"

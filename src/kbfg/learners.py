@@ -44,7 +44,6 @@ class TrainConfig:
     knn_k: int = 3
     epochs: int = 50
     regularization: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("max_depth", "min_leaf", "knn_k", "epochs"):
@@ -96,7 +95,8 @@ def information_gain(labels: Sequence[int], partition: Iterable[Sequence[int]]) 
     return max(0.0, entropy(labels) - cond)
 
 
-def _groups_by_value(column: Sequence[FeatureValue]) -> Dict[FeatureValue, List[int]]:
+def groups_by_value(column: Sequence[FeatureValue]) -> Dict[FeatureValue, List[int]]:
+    """The row indices holding each distinct value, values in first-seen order."""
     groups: Dict[FeatureValue, List[int]] = {}
     for i, v in enumerate(column):
         groups.setdefault(v, []).append(i)
@@ -105,7 +105,7 @@ def _groups_by_value(column: Sequence[FeatureValue]) -> Dict[FeatureValue, List[
 
 def column_information_gain(matrix: FeatureMatrix, j: int) -> float:
     """IG of splitting the matrix's labels by column j's values (missing included)."""
-    groups = _groups_by_value(matrix.column(j))
+    groups = groups_by_value(matrix.column(j))
     return information_gain(matrix.labels, groups.values())
 
 
@@ -185,7 +185,7 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
         # groups hold positions local to `indices`
         best_j, best_gain, best_groups = None, 0.0, None
         for j in range(n_features):
-            groups = _groups_by_value([matrix.rows[i][j] for i in indices])
+            groups = groups_by_value([matrix.rows[i][j] for i in indices])
             if len(groups) < 2:
                 continue
             if any(len(g) < cfg.min_leaf for g in groups.values()):

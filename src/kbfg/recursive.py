@@ -14,6 +14,10 @@ objects are first split into one candidate problem per knowledge-base
 departure type covering them, and each surviving candidate emits its own
 feature.
 
+Each derived problem is materialized once, before recursing: the same
+matrix gives the nested pass its source columns and, with the columns of
+the features that pass adds appended, is the classifier's training matrix.
+
 A candidate with fewer than ``min_recursive_size`` objects, a single object
 class, or no applicable relations is dropped.  Every candidate looked at,
 dropped or not, is recorded once as a ``CandidateRecord`` whose status says
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from kbfg.aggregators import FAMILIES
-from kbfg.data import Dataset, Example, materialize
+from kbfg.data import Dataset, Example, FeatureMatrix, materialize
 from kbfg.expand import _expand_one
 from kbfg.features import (
     VALUE_COLUMN,
@@ -39,7 +43,7 @@ from kbfg.features import (
 )
 from kbfg.kb import KnowledgeBase, Relation
 from kbfg.learners import LEARNER_KINDS, TrainConfig, majority_label, train_model
-from kbfg.values import iter_atoms
+from kbfg.values import FeatureValue, iter_atoms
 
 
 @dataclass
@@ -127,26 +131,22 @@ def _candidate_features(values: List[str], relations: List[Relation], kb: Knowle
     return out
 
 
-def create_new_problem(f: Feature, ds: Dataset, kb: KnowledgeBase,
-                       cfg: GenerationConfig, stats: Optional[GenerationStats] = None,
+def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
+                       kb: KnowledgeBase, cfg: GenerationConfig,
+                       stats: Optional[GenerationStats] = None,
                        level: int = 0) -> List[RecursiveProblem]:
     """The surviving candidate problems for one source feature, possibly none.
 
+    `column` holds the values of `f` on the examples of `ds`, in order.
     Atom-valued sources yield at most one problem; set-valued sources yield
     one per covering departure type.  Every candidate, surviving or not, is
     recorded in `stats` with its status.
     """
     stats = stats if stats is not None else GenerationStats()
-    per_example: List[List[str]] = []
-    any_set = False
-    for x in ds.examples:
-        v = evaluate_feature(f, x, kb)
-        any_set = any_set or isinstance(v, frozenset)
-        per_example.append(list(iter_atoms(v)))
-    label_of = _value_labels(per_example, ds.labels)
+    label_of = _value_labels([list(iter_atoms(v)) for v in column], ds.labels)
     all_values = sorted(label_of)
 
-    if any_set:
+    if any(isinstance(v, frozenset) for v in column):
         candidates = _partition_by_type(all_values, kb)
     else:
         candidates = [(None, all_values)]
@@ -203,24 +203,34 @@ def generate_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBas
     """
     cfg = cfg or GenerationConfig()
     stats = stats if stats is not None else GenerationStats()
-    return _generate(ds, features, kb, cfg, cfg.depth, stats, level=0)
+    if not features:
+        return []
+    return _generate(ds, materialize(ds, features, kb), features, kb, cfg, cfg.depth,
+                     stats, level=0)
 
 
-def _generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
-              cfg: GenerationConfig, depth: int, stats: GenerationStats,
-              level: int) -> List[Feature]:
+def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],
+              kb: KnowledgeBase, cfg: GenerationConfig, depth: int,
+              stats: GenerationStats, level: int) -> List[Feature]:
+    """Generation over `ds`, whose `matrix` holds the columns of `features`."""
     out: List[Feature] = []
     seen_names = {f.name for f in features}
-    for f in features:
-        for problem in create_new_problem(f, ds, kb, cfg, stats, level):
-            feats = list(problem.features)
+    for j, f in enumerate(features):
+        for problem in create_new_problem(f, ds, matrix.column(j), kb, cfg, stats, level):
             problem_ds = problem.as_dataset()
-            if depth > 0:
-                # never returns a name in its input, so the extension is disjoint
-                feats += _generate(problem_ds, feats, kb, cfg, depth - 1, stats, level + 1)
-            model = train_model(cfg.learner_kind, materialize(problem_ds, feats, kb),
-                                cfg.train)
-            new = ClassifierFeature(inner=f, model=model, value_features=tuple(feats),
+            problem_matrix = materialize(problem_ds, problem.features, kb)
+            # never returns a name in its input, so the extension is disjoint
+            added = _generate(problem_ds, problem_matrix, problem.features, kb, cfg,
+                              depth - 1, stats, level + 1) if depth > 0 else []
+            if added:
+                extra = materialize(problem_ds, added, kb)
+                for row, more in zip(problem_matrix.rows, extra.rows):
+                    row.extend(more)
+                problem_matrix.feature_names += extra.feature_names
+            model = train_model(cfg.learner_kind, problem_matrix, cfg.train)
+            del problem_matrix  # freed before the next problem builds its own
+            new = ClassifierFeature(inner=f, model=model,
+                                    value_features=tuple(problem.features + added),
                                     partition_type=problem.partition_type)
             if new.name not in seen_names:
                 seen_names.add(new.name)

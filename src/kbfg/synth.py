@@ -141,6 +141,23 @@ def gen_disorder_scenario(spec: ScenarioSpec):
     def pick(pool: List[str], i: int) -> str:
         return pool[i % len(pool)]
 
+    def quota_examples(n: int, desert_pool: List[str], other_pool: List[str],
+                       surname_prefix: str, id_prefix: str) -> List[Example]:
+        """Quota rows over fresh surnames, each mapped into a pool's next country."""
+        examples: List[Example] = []
+        assigned = {True: 0, False: 0}
+        rows = _quota_rows(n, spec.female_fraction, spec.desert_fraction, rng)
+        for i, (gender, wants_desert) in enumerate(rows):
+            surname = f"{surname_prefix}{i:04d}"
+            pool = desert_pool if wants_desert else other_pool
+            country = pick(pool, assigned[wants_desert])
+            assigned[wants_desert] += 1
+            surname_country[surname] = country
+            label = int(gender == "f" and attrs[country] == ("hot", "low"))
+            examples.append(Example(f"{id_prefix}{i:04d}", label,
+                                    {"gender": gender, "surname": surname}))
+        return examples
+
     train_examples: List[Example] = []
     if spec.balanced_surname_groups:
         # each surname carries exactly 2 female and 2 male patients, so the
@@ -179,22 +196,7 @@ def gen_disorder_scenario(spec: ScenarioSpec):
             train_examples.append(Example(f"p{i:04d}", label,
                                           {"gender": gender, "surname": surname}))
     else:
-        rows = _quota_rows(spec.n_train, spec.female_fraction, spec.desert_fraction,
-                           rng)
-        n_desert_assigned = 0
-        n_other_assigned = 0
-        for i, (gender, wants_desert) in enumerate(rows):
-            surname = f"s{i:04d}"
-            if wants_desert:
-                country = pick(desert, n_desert_assigned)
-                n_desert_assigned += 1
-            else:
-                country = pick(others, n_other_assigned)
-                n_other_assigned += 1
-            surname_country[surname] = country
-            label = int(gender == "f" and country in desert)
-            train_examples.append(Example(f"p{i:04d}", label,
-                                          {"gender": gender, "surname": surname}))
+        train_examples = quota_examples(spec.n_train, desert, others, "s", "p")
 
     if spec.noise > 0:
         for ex in train_examples:
@@ -209,22 +211,7 @@ def gen_disorder_scenario(spec: ScenarioSpec):
     else:
         t_desert, t_others = desert, others
 
-    test_examples: List[Example] = []
-    rows = _quota_rows(spec.n_test, spec.female_fraction, spec.desert_fraction, rng)
-    n_desert_assigned = 0
-    n_other_assigned = 0
-    for i, (gender, wants_desert) in enumerate(rows):
-        surname = f"t{i:04d}"
-        if wants_desert:
-            country = pick(t_desert, n_desert_assigned)
-            n_desert_assigned += 1
-        else:
-            country = pick(t_others, n_other_assigned)
-            n_other_assigned += 1
-        surname_country[surname] = country
-        label = int(gender == "f" and attrs[country] == ("hot", "low"))
-        test_examples.append(Example(f"q{i:04d}", label,
-                                     {"gender": gender, "surname": surname}))
+    test_examples = quota_examples(spec.n_test, t_desert, t_others, "t", "q")
 
     for surname in sorted(surname_country):
         triples.append(f"countryOf\t{surname}\t{surname_country[surname]}")

@@ -15,8 +15,6 @@ from typing import Iterable, Union
 
 FeatureValue = Union[str, frozenset, None]
 
-MISSING: None = None
-
 
 def normalize_value(raw: Union[str, Iterable[str], None]) -> FeatureValue:
     """Coerce a raw value (atom, iterable of atoms, or None) to a FeatureValue."""

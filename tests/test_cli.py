@@ -87,7 +87,7 @@ def test_eval_generation_scope_flag(scenario_dir, tmp_path):
     assert json.loads(out.read_text())["methods"] == ["baseline", "recursive_d1"]
 
 
-@pytest.mark.parametrize("command, flags", [
+INVALID_OPTIONS = [
     ("generate", ["--depth", "-1"]),
     ("generate", ["--min-size", "0"]),
     ("generate", ["--min-size", "-3"]),
@@ -98,12 +98,44 @@ def test_eval_generation_scope_flag(scenario_dir, tmp_path):
     ("deep", ["--max-tree-depth", "0"]),
     ("eval", ["--coverage", "7"]),
     ("eval", ["--coverage", "0"]),
-], ids=lambda v: v if isinstance(v, str) else "=".join(v))
-def test_invalid_generation_options_rejected(scenario_dir, tmp_path, command, flags):
+]
+
+
+def option_id(v):
+    return v if isinstance(v, str) else "=".join(v)
+
+
+@pytest.mark.parametrize("command, flags", INVALID_OPTIONS, ids=option_id)
+def test_invalid_generation_options_rejected(scenario_dir, tmp_path, capsys, command, flags):
     out = tmp_path / "out.json"
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main([command, *kb_args(scenario_dir), *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags",
+                         INVALID_OPTIONS + [("eval", ["--methods", "baseline,deep"]),
+                                            ("eval", ["--learners", "tree,tree"])],
+                         ids=option_id)
+def test_invalid_options_rejected_before_reading_files(tmp_path, capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *kb_args(tmp_path / "missing"), *flags])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_single_class_dataset_error_is_not_a_usage_error(scenario_dir, tmp_path):
+    train = scenario_dir / "train.jsonl"
+    lines = train.read_text().splitlines()
+    one_class = [json.loads(line) for line in lines[1:]]
+    for rec in one_class:
+        rec["label"] = 0
+    train.write_text("\n".join([lines[0]] + [json.dumps(r) for r in one_class]) + "\n")
+    with pytest.raises(ValueError, match="single class"):
+        main(["eval", *kb_args(scenario_dir), "--folds", "3", "--learners", "tree",
+              "--methods", "baseline"])
 
 
 def test_generate_min_size_reaches_config(scenario_dir, tmp_path):

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import pytest
 
+import kbfg.data
+import kbfg.recursive
 from kbfg.data import Dataset, Example
 from kbfg.features import (
     BaseFeature,
@@ -9,6 +13,7 @@ from kbfg.features import (
     evaluate_feature,
     serialize_feature,
 )
+from kbfg.harness import base_features
 from kbfg.kb import load_kb
 from kbfg.recursive import (
     GenerationConfig,
@@ -17,6 +22,7 @@ from kbfg.recursive import (
     create_new_problem,
     generate_features,
 )
+from kbfg.synth import ScenarioSpec, gen_disorder_scenario
 
 # 12 countries; the concept "hot AND low precipitation" is a true conjunction:
 # hot/high and cold/low countries exist as distractors
@@ -47,6 +53,10 @@ def climate_kb(extra_triples=()):
         "precipitation\tcountry\tprecipitation\tfn",
     ]
     return load_kb(triples, schema), surnames
+
+
+def column(ds, name):
+    return [x.assignment[name] for x in ds.examples]
 
 
 def patients(surnames):
@@ -87,7 +97,7 @@ def test_create_problem_objects_and_labels():
         Example("c", 0, {"surname": "nowak"}),
     ], [("surname", "surname")])
     cfg = GenerationConfig(min_recursive_size=2)
-    [problem] = create_new_problem(BaseFeature("surname"), ds, kb, cfg)
+    [problem] = create_new_problem(BaseFeature("surname"), ds, column(ds, "surname"), kb, cfg)
     assert problem.objects == [("haddad", 1), ("nowak", 0)]
     assert [f.name for f in problem.features] == ["countryOf(value)"]
 
@@ -101,7 +111,7 @@ def test_create_problem_label_tie_is_zero():
         Example("c", 1, {"surname": "nowak"}),
     ], [("surname", "surname")])
     cfg = GenerationConfig(min_recursive_size=2)
-    [problem] = create_new_problem(BaseFeature("surname"), ds, kb, cfg)
+    [problem] = create_new_problem(BaseFeature("surname"), ds, column(ds, "surname"), kb, cfg)
     assert dict(problem.objects)["smith"] == 0
     assert dict(problem.objects)["nowak"] == 1
 
@@ -110,7 +120,7 @@ def test_create_problem_size_filter():
     kb, surnames = climate_kb()
     ds = patients(dict(list(sorted(surnames.items()))[:3]))
     stats = GenerationStats()
-    assert create_new_problem(BaseFeature("surname"), ds, kb,
+    assert create_new_problem(BaseFeature("surname"), ds, column(ds, "surname"), kb,
                               GenerationConfig(min_recursive_size=8), stats) == []
     assert [r.status for r in stats.records] == ["too_small"]
 
@@ -120,7 +130,7 @@ def test_create_problem_single_class_filter():
     only_desert = {s: c for s, c in surnames.items() if c in DESERT}
     ds = patients(only_desert)
     stats = GenerationStats()
-    assert create_new_problem(BaseFeature("surname"), ds, kb,
+    assert create_new_problem(BaseFeature("surname"), ds, column(ds, "surname"), kb,
                               GenerationConfig(min_recursive_size=2), stats) == []
     assert [r.status for r in stats.records] == ["single_class"]
 
@@ -130,7 +140,7 @@ def test_create_problem_no_relations_filter():
     ds = Dataset([Example(f"g{i}", i % 2, {"gender": "f" if i % 2 else "m"})
                   for i in range(4)], [("gender", "gender")])
     stats = GenerationStats()
-    assert create_new_problem(BaseFeature("gender"), ds, kb,
+    assert create_new_problem(BaseFeature("gender"), ds, column(ds, "gender"), kb,
                               GenerationConfig(min_recursive_size=2), stats) == []
     assert [r.status for r in stats.records] == ["no_relations"]
 
@@ -284,3 +294,25 @@ def test_stats_accounting_identity():
                       GenerationConfig(depth=2, min_recursive_size=8), stats=stats)
     s = stats.summary()
     assert s["candidates_tried"] == s["features_generated"] + sum(s["filtered"].values())
+
+
+def test_generation_evaluates_each_column_cell_once(monkeypatch):
+    train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
+    calls = Counter()
+    examples = []  # every example stays referenced, so no id is reused
+
+    def recording(f, x, kb):
+        examples.append(x)
+        calls[id(x), f.name] += 1
+        return evaluate_feature(f, x, kb)
+
+    for module in (kbfg.data, kbfg.recursive):
+        monkeypatch.setattr(module, "evaluate_feature", recording)
+    feats = generate_features(train, base_features(train), kb)
+    assert feats and sum(calls.values()) > len(train)
+    assert [key for key, n in calls.items() if n > 1] == []
+
+
+def test_generate_without_features_is_empty():
+    kb, surnames = climate_kb()
+    assert generate_features(patients(surnames), [], kb) == []
