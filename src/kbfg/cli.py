@@ -97,10 +97,11 @@ def cmd_synth(args, cfg: None) -> int:
     return 0
 
 
-def cmd_expand(args, cfg: None) -> int:
+def cmd_expand(args, cfg: GenerationConfig) -> int:
     ds = load_dataset_file(args.data)
     kb = load_kb_files(args.kb_schema, args.kb_triples)
-    feats = expand_features(ds, base_features(ds), kb, args.aggregator, args.coverage)
+    feats = expand_features(ds, base_features(ds), kb, cfg.aggregator_family,
+                            cfg.coverage_threshold)
     _dump(features_to_document(feats, {"generated": len(feats)}), args.out)
     print(f"expanded {len(ds.feature_names)} features into {len(feats)}", file=sys.stderr)
     return 0
@@ -167,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kb_args(p)
     _add_gen_args(p)
     p.add_argument("--out", default=None, help="feature document path (default stdout)")
-    p.set_defaults(func=cmd_expand)
+    # expand runs no recursion, but its config checks the shared options
+    p.set_defaults(func=cmd_expand, config=_gen_config)
 
     p = sub.add_parser("generate", help="recursive feature generation")
     _add_kb_args(p)

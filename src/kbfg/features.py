@@ -9,8 +9,11 @@ Three feature kinds compose into trees:
   looked up from every token of the inner value.
 * ``ClassifierFeature`` applies a trained model to the inner feature's
   value.  The model consumes a vector of value-level features (features
-  whose base column is the reserved ``value`` column); for set-valued inner
-  values the per-token predictions are combined by majority vote.
+  whose base column is the reserved ``value`` column), each evaluated only
+  when the model reads it, so a tree pays for the cells on its one
+  root-to-leaf path and a value feature the model never reads is never
+  evaluated; for set-valued inner values the per-token predictions are
+  combined by majority vote.
 
 Evaluation is pure: the same example and knowledge base always produce the
 same value, and nothing is mutated.
@@ -20,8 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from kbfg.aggregators import AggregatorInstance
 from kbfg.kb import KnowledgeBase
@@ -196,6 +200,29 @@ def _eval(f: Feature, assignment: Mapping[str, FeatureValue], kb: KnowledgeBase)
 
 
 def predict_on_token(f: ClassifierFeature, token: str, kb: KnowledgeBase) -> int:
-    """Apply the embedded model to one value token via the value-level features."""
-    row = [_eval(vf, {VALUE_COLUMN: token}, kb) for vf in f.value_features]
-    return f.model.predict(row)
+    """Apply the embedded model to one value token via the value-level features.
+
+    The model gets a row whose cells are evaluated when it reads them.
+    Evaluation is pure, so the prediction is the one a fully
+    evaluated row gives; but a value feature the model does not read is not
+    evaluated at all, so a relation the knowledge base does not declare
+    raises ``KBError`` only when the model reads a cell that uses it.
+    """
+    return f.model.predict(_LazyRow(f.value_features, token, kb))
+
+
+class _LazyRow(Sequence):
+    """The value features' values on one token, each evaluated when it is read."""
+
+    __slots__ = ("_features", "_assignment", "_kb")
+
+    def __init__(self, features: Sequence[Feature], token: str, kb: KnowledgeBase):
+        self._features = features
+        self._assignment = {VALUE_COLUMN: token}
+        self._kb = kb
+
+    def __len__(self) -> int:
+        return len(self._features)
+
+    def __getitem__(self, j: int) -> FeatureValue:
+        return _eval(self._features[j], self._assignment, self._kb)

@@ -1,15 +1,19 @@
-"""Reference learner implementations that the optimised ones must match exactly.
+"""Reference implementations that the optimised ones must match exactly.
 
-``train_linear`` shrinks every weight at every step and ``knn_predict``
-sorts every stored row by Hamming distance for each query.  Both are the
-straightforward versions the library used before its lazy-shrink linear
-trainer and bitmask k-NN index; the differential tests in
-``test_learner_oracles.py`` require identical results from the library.
+``train_linear`` shrinks every weight at every step, ``knn_predict`` sorts
+every stored row by Hamming distance for each query, and
+``predict_on_token`` evaluates every value-level feature before the model
+reads the row.  They are the straightforward versions the library used
+before its lazy-shrink linear trainer, bitmask k-NN index and lazily
+evaluated model rows; the differential tests in ``test_learner_oracles.py``
+require identical results from the library.
 """
 
 from typing import Dict, Optional, Sequence, Tuple
 
 from kbfg.data import FeatureMatrix
+from kbfg.features import VALUE_COLUMN, ClassifierFeature, _eval
+from kbfg.kb import KnowledgeBase
 from kbfg.learners import LinearModel, TrainConfig, _encode, majority_label
 from kbfg.values import FeatureValue
 
@@ -55,3 +59,9 @@ def knn_predict(self, row: Sequence[FeatureValue]) -> int:
     order = sorted(range(len(self.rows)), key=lambda i: (dist(self.rows[i]), i))
     votes = [self.labels[i] for i in order[: self.k]]
     return majority_label(votes)
+
+
+def predict_on_token(f: ClassifierFeature, token: str, kb: KnowledgeBase) -> int:
+    """Apply the embedded model to one value token via the value-level features."""
+    row = [_eval(vf, {VALUE_COLUMN: token}, kb) for vf in f.value_features]
+    return f.model.predict(row)

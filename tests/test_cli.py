@@ -98,6 +98,9 @@ INVALID_OPTIONS = [
     ("deep", ["--max-tree-depth", "0"]),
     ("eval", ["--coverage", "7"]),
     ("eval", ["--coverage", "0"]),
+    ("expand", ["--coverage", "7"]),
+    ("expand", ["--coverage", "0"]),
+    ("expand", ["--coverage", "-0.5"]),
 ]
 
 

@@ -8,13 +8,15 @@ from kbfg.data import Dataset, Example
 from kbfg.features import (
     BaseFeature,
     ClassifierFeature,
+    RelationFeature,
     VALUE_COLUMN,
     composition_layers,
     evaluate_feature,
     serialize_feature,
 )
 from kbfg.harness import base_features
-from kbfg.kb import load_kb
+from kbfg.kb import KBError, load_kb
+from kbfg.learners import TreeModel, TreeNode
 from kbfg.recursive import (
     GenerationConfig,
     GenerationStats,
@@ -221,6 +223,22 @@ def test_apply_generated_missing_gives_default_class():
                                GenerationConfig(depth=1, min_recursive_size=8))
     x = Example("m", 0, {"surname": None})
     assert apply_generated(feat, x, kb) == feat.model.default_class
+
+
+@pytest.mark.parametrize("read", [0, 1])
+def test_only_cells_the_model_reads_are_evaluated(read):
+    kb, _ = climate_kb()
+    value = BaseFeature(VALUE_COLUMN)
+    known, undeclared = RelationFeature(value, "countryOf"), RelationFeature(value, "capitalOf")
+    root = TreeNode(feature=read, children=[(None, TreeNode(label=0)),
+                                            ("egypt", TreeNode(label=1))], fallback=0)
+    feat = ClassifierFeature(BaseFeature("surname"), TreeModel(root, 0, 2), (known, undeclared))
+    x = Example("q", 1, {"surname": "s00"})
+    if read == 0:
+        assert apply_generated(feat, x, kb) == 1  # the undeclared relation is never looked up
+    else:
+        with pytest.raises(KBError, match="capitalOf"):
+            apply_generated(feat, x, kb)
 
 
 def test_filtering_monotone_in_min_size():

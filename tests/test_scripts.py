@@ -1,5 +1,7 @@
-"""Smoke runs of the experiment scripts, which no other test imports."""
+"""Subprocess runs: the experiment scripts, which no other test imports, and
+the command line under different string-hash seeds."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,3 +19,29 @@ def test_script_runs(script):
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def run_cli(out, hash_seed):
+    """`synth`, then `generate` and `deep` on it; every file written, by name."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
+    scen = out / "scen"
+    kb = ["--data", str(scen / "train.jsonl"), "--kb-schema", str(scen / "kb_schema.tsv"),
+          "--kb-triples", str(scen / "kb_triples.tsv")]
+    for args in (["synth", "--scenario", "disorder", "--seed", "1",
+                  "--n-train", "80", "--n-test", "40", "--n-countries", "8",
+                  "--out", str(scen)],
+                 ["generate", *kb, "--out", str(out / "generate.json")],
+                 ["deep", *kb, "--min-node-size", "5", "--out", str(out / "deep.json"),
+                  "--report", str(out / "report.json")]):
+        done = subprocess.run([sys.executable, "-m", "kbfg", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.*"))}
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    runs = [run_cli(tmp_path / str(seed), seed) for seed in (0, 1, 2)]
+    assert len(runs[0]) == 8
+    for doc in ("generate.json", "deep.json"):
+        assert json.loads(runs[0][doc])["features"]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
