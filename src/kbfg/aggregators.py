@@ -55,6 +55,3 @@ class AggregatorInstance:
     def to_json(self) -> dict:
         return {"family": self.family, "value": self.value}
 
-    @staticmethod
-    def from_json(obj: dict) -> "AggregatorInstance":
-        return AggregatorInstance(obj["family"], obj["value"])

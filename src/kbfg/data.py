@@ -63,6 +63,8 @@ def _parse_record(obj: dict, lineno: int, schema_names: Optional[List[str]]) -> 
         feats = obj.get("features", {})
     except (KeyError, TypeError):
         raise DatasetError(f"line {lineno}: record must carry id, label, features") from None
+    if not isinstance(feats, dict):
+        raise DatasetError(f"line {lineno}: features must be an object")
     if not isinstance(ex_id, str) or not ex_id:
         raise DatasetError(f"line {lineno}: id must be a non-empty string")
     if label not in (0, 1) or isinstance(label, bool):
@@ -97,10 +99,11 @@ def load_dataset(source: Iterable[str]) -> Dataset:
             raise DatasetError(f"line {lineno}: invalid JSON ({e.msg})") from None
         if first_content and isinstance(obj, dict) and "schema" in obj:
             declared = obj["schema"]
-            names = list(declared)
-            if len(set(names)) != len(names):
-                raise DatasetError(f"line {lineno}: duplicate feature in schema header")
-            schema = [(name, declared[name]) for name in names]
+            if not isinstance(declared, dict) or \
+                    not all(isinstance(t, str) for t in declared.values()):
+                raise DatasetError(f"line {lineno}: schema header must map feature "
+                                   f"names to value-type names")
+            schema = list(declared.items())
             first_content = False
             continue
         first_content = False
@@ -158,6 +161,19 @@ class FeatureMatrix:
 
     def column(self, j: int) -> List[FeatureValue]:
         return [row[j] for row in self.rows]
+
+    def subset(self, indices: Sequence[int]) -> "FeatureMatrix":
+        """The rows at `indices`, copied, so appending to them leaves these intact."""
+        return FeatureMatrix([list(self.rows[i]) for i in indices],
+                             [self.labels[i] for i in indices], list(self.feature_names))
+
+    def append_columns(self, other: "FeatureMatrix") -> None:
+        """Append the columns of `other`, a matrix built on the same examples."""
+        if other.labels != self.labels:
+            raise ValueError("append_columns needs a matrix over the same examples")
+        for row, more in zip(self.rows, other.rows):
+            row.extend(more)
+        self.feature_names += other.feature_names
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -13,12 +13,16 @@ drowns out a locally strong candidate.
 The report is a reduction, per split-tree depth, over the candidate records
 of the node-level generator (its own sources only, not nested recursion):
 candidates tried, features generated, candidates filtered and the size of
-surviving problems relative to the node.  Each node's matrix is evaluated
-once: one information-gain pass over its columns, the node's features and
-its generated ones, gives the split, the gains of the generated features
-and the best gain among the plain (not induced) features, which the report
-also averages; the split groups come from the chosen column of the same
-matrix.
+surviving problems relative to the node.
+
+Every (example, feature) cell is evaluated once.  The input features are
+evaluated at the root; each node receives its parent's rows for its own
+examples, hands them to the generator, and evaluates only the features it
+generates, whose columns it appends.  One information-gain pass over the
+node's matrix gives the split, the gains of the generated features and the
+best gain among the plain (not induced) features, which the report also
+averages; the split groups come from the chosen column of the same matrix,
+and each child gets a copy of its group's rows.
 """
 
 from __future__ import annotations
@@ -145,7 +149,9 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
     collected: List[Feature] = []
     seen: set = set()
 
-    def visit(node_ds: Dataset, feats: List[Feature], depth: int) -> None:
+    def visit(node_ds: Dataset, feats: List[Feature], matrix: FeatureMatrix,
+              depth: int) -> None:
+        """`matrix` holds the columns of `feats` on `node_ds`; this node owns it."""
         labels = node_ds.labels
         if len(set(labels)) <= 1:
             return
@@ -155,10 +161,12 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
             return
 
         stats = GenerationStats()
-        generated = generate_features(node_ds, feats, kb, cfg.generation, stats)
+        generated = generate_features(node_ds, feats, kb, cfg.generation, stats,
+                                      matrix=matrix)
         # generation never returns a name in its input, so `extended` has no duplicates
         extended = feats + generated
-        matrix = materialize(node_ds, extended, kb)
+        if generated:
+            matrix.append_columns(materialize(node_ds, generated, kb))
         igs = feature_igs(matrix)
         row = report.at(depth)
         row.records += [r for r in stats.records if r.level == 0]
@@ -176,12 +184,11 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
         best = select_feature(extended, igs)
         j = next(j for j, f in enumerate(extended) if f is best)
         groups = groups_by_value(matrix.column(j))
-        del matrix  # freed before the children materialize their own rows
         if len(groups) < 2:
             return
         for v in sorted(groups, key=value_sort_key):
-            visit(node_ds.subset(groups[v]), extended, depth + 1)
+            visit(node_ds.subset(groups[v]), extended, matrix.subset(groups[v]), depth + 1)
 
-    visit(ds, list(features), 0)
+    visit(ds, list(features), materialize(ds, features, kb), 0)
     report.check()
     return collected, report

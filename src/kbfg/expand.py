@@ -36,6 +36,8 @@ def expand_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown aggregator family {family!r}")
+    if not 0 < coverage_threshold <= 1:
+        raise ValueError("coverage_threshold must be in (0, 1]")
     generated: List[Feature] = []
     seen_names: Set[str] = set()
     for f in features:

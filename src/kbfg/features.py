@@ -114,24 +114,58 @@ def serialize_feature(f: Feature) -> str:
     return _canon(f.to_json())
 
 
-def feature_from_json(obj: dict) -> Feature:
-    kind = obj["kind"]
+class FeatureDocError(ValueError):
+    """A malformed feature document; the message starts with the JSON path."""
+
+
+def doc_field(obj, key: str, path: str, kind: type = object):
+    """`obj[key]`, which must exist and be a `kind`, else ``FeatureDocError``."""
+    if not isinstance(obj, dict):
+        raise FeatureDocError(f"{path}: expected an object")
+    if key not in obj:
+        raise FeatureDocError(f"{path}: missing {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise FeatureDocError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def feature_from_json(obj: dict, path: str = "$") -> Feature:
+    """A feature read from its JSON form at `path`; a classifier's model is
+    checked against its value features, so a malformed document fails here."""
+    kind = doc_field(obj, "kind", path)
     if kind == "base":
-        return BaseFeature(obj["name"])
+        return BaseFeature(doc_field(obj, "name", path, str))
     if kind == "relation":
-        agg = AggregatorInstance.from_json(obj["aggregator"]) if obj["aggregator"] else None
-        return RelationFeature(feature_from_json(obj["inner"]), obj["relation"], agg)
+        raw, agg = doc_field(obj, "aggregator", path), None
+        if raw is not None:
+            apath = f"{path}.aggregator"
+            family = doc_field(raw, "family", apath, str)
+            value = doc_field(raw, "value", apath, str)
+            try:
+                agg = AggregatorInstance(family, value)
+            except ValueError as e:  # an unknown family
+                raise FeatureDocError(f"{apath}.family: {e}") from None
+        return RelationFeature(feature_from_json(doc_field(obj, "inner", path), f"{path}.inner"),
+                               doc_field(obj, "relation", path, str), agg)
     if kind == "classifier":
         from kbfg.learners import model_from_json  # deferred: learners imports data
 
+        value_features = tuple(
+            feature_from_json(v, f"{path}.value_features[{i}]")
+            for i, v in enumerate(doc_field(obj, "value_features", path, list)))
+        partition_type, name = obj.get("partition_type"), obj.get("name", "")
+        if not isinstance(partition_type, (str, type(None))) or not isinstance(name, str):
+            raise FeatureDocError(f"{path}: name and partition_type must be strings")
         return ClassifierFeature(
-            inner=feature_from_json(obj["inner"]),
-            model=model_from_json(obj["model"]),
-            value_features=tuple(feature_from_json(v) for v in obj["value_features"]),
-            partition_type=obj.get("partition_type"),
-            name=obj.get("name", ""),
+            inner=feature_from_json(doc_field(obj, "inner", path), f"{path}.inner"),
+            model=model_from_json(doc_field(obj, "model", path), len(value_features),
+                                  f"{path}.model"),
+            value_features=value_features,
+            partition_type=partition_type,
+            name=name,
         )
-    raise ValueError(f"unknown feature kind {kind!r}")
+    raise FeatureDocError(f"{path}.kind: unknown feature kind {kind!r}")
 
 
 def features_to_document(features: Sequence[Feature], summary: Optional[dict] = None) -> dict:
@@ -142,9 +176,11 @@ def features_to_document(features: Sequence[Feature], summary: Optional[dict] = 
 
 
 def features_from_document(doc: dict) -> List[Feature]:
-    if doc.get("format") != "kbfg-features":
-        raise ValueError("not a feature document")
-    return [feature_from_json(obj) for obj in doc["features"]]
+    """The features of a document; ``FeatureDocError`` names what is malformed."""
+    if not isinstance(doc, dict) or doc.get("format") != "kbfg-features":
+        raise FeatureDocError("$: not a feature document")
+    return [feature_from_json(obj, f"$.features[{i}]")
+            for i, obj in enumerate(doc_field(doc, "features", "$", list))]
 
 
 def composition_layers(f: Feature) -> int:

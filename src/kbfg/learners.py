@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from kbfg.data import Dataset, FeatureMatrix, materialize
+from kbfg.features import FeatureDocError, doc_field
 from kbfg.values import FeatureValue, value_from_json, value_sort_key, value_to_json
 
 
@@ -135,12 +136,27 @@ class TreeNode:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "TreeNode":
+    def from_json(obj: dict, n_features: int, path: str) -> "TreeNode":
+        """The node at JSON `path`; its splits read columns below `n_features`."""
+        n = doc_field(obj, "n", path, int)
         if "leaf" in obj:
-            return TreeNode(label=obj["leaf"], n=obj["n"])
-        children = [(value_from_json(v), TreeNode.from_json(c)) for v, c in obj["children"]]
-        return TreeNode(feature=obj["feature"], children=children,
-                        fallback=obj["fallback"], n=obj["n"])
+            return TreeNode(label=_doc_label(obj, "leaf", path), n=n)
+        feature = doc_field(obj, "feature", path, int)
+        if not 0 <= feature < n_features:
+            raise FeatureDocError(f"{path}.feature: split on column {feature}, "
+                                  f"not below {n_features}")
+        children = []
+        for i, pair in enumerate(doc_field(obj, "children", path, list)):
+            cpath = f"{path}.children[{i}]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise FeatureDocError(f"{cpath}: expected a [value, node] pair")
+            children.append((_doc_value(pair[0], f"{cpath}[0]"),
+                             TreeNode.from_json(pair[1], n_features, f"{cpath}[1]")))
+        fallback = doc_field(obj, "fallback", path, int)
+        if not 0 <= fallback < len(children):
+            raise FeatureDocError(f"{path}.fallback: no child {fallback} "
+                                  f"among {len(children)}")
+        return TreeNode(feature=feature, children=children, fallback=fallback, n=n)
 
 
 @dataclass
@@ -372,18 +388,62 @@ def train_linear(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> Li
 # --- (de)serialization shared by feature documents --------------------------
 
 
-def model_from_json(obj: dict):
-    kind = obj["kind"]
+def _doc_label(obj, key: str, path: str) -> int:
+    label = doc_field(obj, key, path, int)
+    if label not in (0, 1):
+        raise FeatureDocError(f"{path}.{key}: a label is 0 or 1, got {label}")
+    return label
+
+
+def _doc_value(obj, path: str) -> FeatureValue:
+    try:
+        return value_from_json(obj)
+    except (TypeError, ValueError) as e:
+        raise FeatureDocError(f"{path}: {e}") from None
+
+
+def model_from_json(obj: dict, n_features: int, path: str = "$"):
+    """The model at JSON `path`, checked to read only its `n_features` input columns.
+
+    A malformed model raises ``FeatureDocError`` naming the path of the fault.
+    """
+    kind = doc_field(obj, "kind", path)
+    if kind not in LEARNER_KINDS:
+        raise FeatureDocError(f"{path}.kind: unknown model kind {kind!r}")
+    default_class = _doc_label(obj, "default_class", path)
     if kind == "tree":
-        return TreeModel(TreeNode.from_json(obj["root"]), obj["default_class"],
-                         obj["n_features"])
+        if doc_field(obj, "n_features", path, int) != n_features:
+            raise FeatureDocError(f"{path}.n_features: {obj['n_features']} for "
+                                  f"{n_features} value features")
+        return TreeModel(TreeNode.from_json(doc_field(obj, "root", path), n_features,
+                                            f"{path}.root"), default_class, n_features)
     if kind == "knn":
-        rows = [[value_from_json(v) for v in row] for row in obj["rows"]]
-        return KnnModel(rows, list(obj["labels"]), obj["k"], obj["default_class"])
-    if kind == "linear":
-        weights = {(j, enc): w for j, enc, w in obj["weights"]}
-        return LinearModel(weights, obj["bias"], obj["default_class"], obj["constant"])
-    raise ValueError(f"unknown model kind {kind!r}")
+        rows = []
+        for i, row in enumerate(doc_field(obj, "rows", path, list)):
+            rpath = f"{path}.rows[{i}]"
+            if not isinstance(row, list) or len(row) != n_features:
+                raise FeatureDocError(f"{rpath}: expected {n_features} cells")
+            rows.append([_doc_value(v, f"{rpath}[{j}]") for j, v in enumerate(row)])
+        labels = doc_field(obj, "labels", path, list)
+        if len(labels) != len(rows) or any(type(y) is not int or y not in (0, 1)
+                                           for y in labels):
+            raise FeatureDocError(f"{path}.labels: expected one label 0 or 1 for each "
+                                  f"of {len(rows)} rows")
+        k = doc_field(obj, "k", path, int)
+        if k < 1:
+            raise FeatureDocError(f"{path}.k: must be >= 1, got {k}")
+        return KnnModel(rows, list(labels), k, default_class)
+    weights = {}
+    for i, item in enumerate(doc_field(obj, "weights", path, list)):
+        if not (isinstance(item, list) and len(item) == 3
+                and type(item[0]) is int and 0 <= item[0] < n_features
+                and isinstance(item[1], str) and type(item[2]) in (int, float)):
+            raise FeatureDocError(f"{path}.weights[{i}]: expected [column below "
+                                  f"{n_features}, encoded value, weight]")
+        j, enc, w = item
+        weights[j, enc] = w
+    return LinearModel(weights, doc_field(obj, "bias", path, float), default_class,
+                       doc_field(obj, "constant", path, bool))
 
 
 def train_model(kind: str, matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None):

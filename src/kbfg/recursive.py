@@ -14,9 +14,13 @@ objects are first split into one candidate problem per knowledge-base
 departure type covering them, and each surviving candidate emits its own
 feature.
 
+Each (example, feature) cell is evaluated once.  The caller's features are
+materialized once, or handed in by a caller that already holds their
+columns (each ``deep`` node passes the rows it received from its parent).
 Each derived problem is materialized once, before recursing: the same
-matrix gives the nested pass its source columns and, with the columns of
-the features that pass adds appended, is the classifier's training matrix.
+matrix gives the nested pass its source columns and, with only the columns
+of the features that pass adds evaluated and appended, is the classifier's
+training matrix.
 
 A candidate with fewer than ``min_recursive_size`` objects, a single object
 class, or no applicable relations is dropped.  Every candidate looked at,
@@ -192,7 +196,8 @@ def _partition_by_type(values: List[str], kb: KnowledgeBase) -> List[Tuple[str, 
 
 def generate_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
                       cfg: Optional[GenerationConfig] = None,
-                      stats: Optional[GenerationStats] = None) -> List[Feature]:
+                      stats: Optional[GenerationStats] = None,
+                      matrix: Optional[FeatureMatrix] = None) -> List[Feature]:
     """Emit one induced feature per surviving (source feature x partition).
 
     Below the depth limit each derived problem's feature map is first
@@ -200,13 +205,20 @@ def generate_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBas
     configured learner is then trained on the materialized problem and the
     resulting model composed onto the source feature.  Output follows the
     input feature order.
+
+    `matrix`, when given, holds the columns of `features` on `ds` (a caller
+    that already evaluated them, such as a ``deep`` node); it is read, not
+    changed.  Without it the features are evaluated here.
     """
     cfg = cfg or GenerationConfig()
     stats = stats if stats is not None else GenerationStats()
     if not features:
         return []
-    return _generate(ds, materialize(ds, features, kb), features, kb, cfg, cfg.depth,
-                     stats, level=0)
+    if matrix is None:
+        matrix = materialize(ds, features, kb)
+    elif matrix.feature_names != [f.name for f in features] or matrix.labels != ds.labels:
+        raise ValueError("matrix must hold the columns of `features` on `ds`")
+    return _generate(ds, matrix, features, kb, cfg, cfg.depth, stats, level=0)
 
 
 def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],
@@ -223,10 +235,7 @@ def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],
             added = _generate(problem_ds, problem_matrix, problem.features, kb, cfg,
                               depth - 1, stats, level + 1) if depth > 0 else []
             if added:
-                extra = materialize(problem_ds, added, kb)
-                for row, more in zip(problem_matrix.rows, extra.rows):
-                    row.extend(more)
-                problem_matrix.feature_names += extra.feature_names
+                problem_matrix.append_columns(materialize(problem_ds, added, kb))
             model = train_model(cfg.learner_kind, problem_matrix, cfg.train)
             del problem_matrix  # freed before the next problem builds its own
             new = ClassifierFeature(inner=f, model=model,

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -9,14 +10,20 @@ from kbfg.features import (
     ClassifierFeature,
     RelationFeature,
     composition_layers,
+    FeatureDocError,
     evaluate_feature,
     feature_from_json,
+    features_from_document,
+    features_to_document,
     serialize_feature,
 )
 from kbfg.aggregators import AggregatorInstance
-from kbfg.kb import load_kb
+from kbfg.kb import KBError, load_kb
 from kbfg.learners import FeatureMatrix, train_decision_tree
 from kbfg.data import Example
+from kbfg.harness import base_features
+from kbfg.recursive import GenerationConfig, generate_features
+from kbfg.synth import ScenarioSpec, gen_disorder_scenario
 
 
 KB = load_kb(
@@ -75,6 +82,19 @@ def test_unknown_feature_name_rejected():
     with pytest.raises(DatasetError, match="not in schema header"):
         load_dataset(lines({"schema": {"surname": "surname"}},
                             {"id": "a", "label": 0, "features": {"oops": "x"}}))
+
+
+@pytest.mark.parametrize("obj,match", [
+    ({"id": "a", "label": 0, "features": ["surname"]}, "line 2: features must be an object"),
+    ({"id": "a", "label": 0, "features": None}, "line 2: features must be an object"),
+    ({"schema": 5}, "line 1: schema header"),
+    ({"schema": {"g": 3}}, "line 1: schema header"),
+], ids=["features-list", "features-null", "schema-number", "schema-type-number"])
+def test_malformed_header_or_record_names_the_line(obj, match):
+    header = {"schema": {"surname": "surname"}}
+    source = lines(obj) if "schema" in obj else lines(header, obj)
+    with pytest.raises(DatasetError, match=match):
+        load_dataset(source)
 
 
 def test_missing_schema_feature_fills_missing():
@@ -201,6 +221,18 @@ def test_materialize_deterministic_and_pure():
     assert [dict(x.assignment) for x in ds.examples] == before
 
 
+def test_matrix_subset_copies_rows_that_append_columns_extends():
+    m = FeatureMatrix([["a", "x"], ["b", "y"], ["c", "z"]], [0, 1, 0], ["f0", "f1"])
+    child = m.subset([2, 0])
+    child.append_columns(FeatureMatrix([["p"], ["q"]], [0, 0], ["g"]))
+    assert child.rows == [["c", "z", "p"], ["a", "x", "q"]]
+    assert child.labels == [0, 0] and child.feature_names == ["f0", "f1", "g"]
+    # the parent's rows and names are untouched by its child's append
+    assert m.rows == [["a", "x"], ["b", "y"], ["c", "z"]] and m.feature_names == ["f0", "f1"]
+    with pytest.raises(ValueError):
+        child.append_columns(FeatureMatrix([["p"]], [0], ["h"]))
+
+
 def test_feature_json_roundtrip():
     inner = RelationFeature(BaseFeature("surname"), "countryOf")
     f = ClassifierFeature(inner, constant_model(0),
@@ -220,3 +252,118 @@ def test_composition_layers():
     assert composition_layers(lvl1) == 1
     lvl2 = ClassifierFeature(base, constant_model(0), (lvl1,))
     assert composition_layers(lvl2) == 2
+
+
+@functools.lru_cache(maxsize=None)
+def scenario_seed1():
+    return gen_disorder_scenario(ScenarioSpec(seed=1))
+
+
+@functools.lru_cache(maxsize=None)
+def generated_document(learner_kind):
+    """The `generate` document of `ScenarioSpec(seed=1)` as JSON text."""
+    train, _, kb, _ = scenario_seed1()
+    feats = generate_features(train, base_features(train), kb,
+                              GenerationConfig(learner_kind=learner_kind))
+    return json.dumps(features_to_document(feats))
+
+
+def _edit(path, change):
+    """A mutation applying `change(container, key)` at the JSON `path`."""
+    def mutate(doc):
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        change(target, last)
+        return doc
+    return mutate
+
+
+def _set(path, value):
+    return _edit(path, lambda target, key: target.__setitem__(key, value))
+
+
+def _delete(path):
+    return _edit(path, lambda target, key: target.__delitem__(key))
+
+
+MODEL = ("features", 0, "model")
+MALFORMED_DOCUMENTS = {
+    "not-an-object": ("tree", lambda doc: doc["features"], r"^\$: not a feature document"),
+    "no-features": ("tree", _delete(("features",)), r"^\$: missing 'features'"),
+    "features-not-a-list": ("tree", _set(("features",), {}), r"^\$\.features: expected list"),
+    "no-kind": ("tree", _delete(("features", 0, "kind")), r"^\$\.features\[0\]: missing 'kind'"),
+    "unknown-kind": ("tree", _set(("features", 0, "kind"), "oracle"),
+                     r"^\$\.features\[0\]\.kind: unknown feature kind"),
+    "inner-no-kind": ("tree", _delete(("features", 0, "inner", "kind")),
+                      r"^\$\.features\[0\]\.inner: missing 'kind'"),
+    "empty-value-features": ("tree", _set(("features", 0, "value_features"), []),
+                             r"^\$\.features\[0\]\.model\.n_features: 2 for 0"),
+    "tree-split-out-of-range": ("tree", _set(MODEL + ("root", "feature"), 99),
+                                r"^\$\.features\[0\]\.model\.root\.feature"),
+    "tree-fallback-out-of-range": ("tree", _set(MODEL + ("root", "fallback"), 99),
+                                   r"^\$\.features\[0\]\.model\.root\.fallback"),
+    "tree-child-not-a-pair": ("tree", _set(MODEL + ("root", "children", 1), {"leaf": 1}),
+                              r"^\$\.features\[0\]\.model\.root\.children\[1\]:"),
+    "tree-leaf-not-a-label": ("tree", _set(MODEL + ("root", "children", 0, 1, "leaf"), 7),
+                              r"^\$\.features\[0\]\.model\.root\.children\[0\]\[1\]\.leaf:"),
+    "default-class-not-a-label": ("tree", _set(MODEL + ("default_class",), 5),
+                                  r"^\$\.features\[0\]\.model\.default_class:"),
+    "unknown-model-kind": ("tree", _set(MODEL + ("kind",), "forest"),
+                           r"^\$\.features\[0\]\.model\.kind: unknown model kind"),
+    "knn-short-row": ("knn", _delete(MODEL + ("rows", 3, 1)),
+                      r"^\$\.features\[0\]\.model\.rows\[3\]: expected 2 cells"),
+    "knn-k-zero": ("knn", _set(MODEL + ("k",), 0), r"^\$\.features\[0\]\.model\.k:"),
+    "knn-labels-short": ("knn", _delete(MODEL + ("labels", -1)),
+                         r"^\$\.features\[0\]\.model\.labels:"),
+    "knn-label-not-a-label": ("knn", _set(MODEL + ("labels", 0), 2),
+                              r"^\$\.features\[0\]\.model\.labels:"),
+    "linear-column-out-of-range": ("linear", _set(MODEL + ("weights", 0, 0), 2),
+                                   r"^\$\.features\[0\]\.model\.weights\[0\]:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_feature_document_fails_at_load_naming_the_path(case):
+    learner_kind, mutate, match = MALFORMED_DOCUMENTS[case]
+    doc = json.loads(generated_document(learner_kind))
+    assert features_from_document(doc)  # the unmutated document loads
+    with pytest.raises(FeatureDocError, match=match):
+        features_from_document(mutate(doc))
+
+
+def _json_paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 300) | st.floats(allow_nan=False)
+    | st.text(alphabet="ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.sampled_from(
+        ["kind", "name", "leaf", "n", "inner"]), inner, max_size=2),
+    max_leaves=4)
+
+
+@given(st.sampled_from(["tree", "knn", "linear"]), st.data())
+def test_mutated_feature_document_raises_only_feature_doc_error(learner_kind, data):
+    doc = json.loads(generated_document(learner_kind))
+    path = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    if data.draw(st.booleans()):
+        _delete(path)(doc)
+    else:
+        _set(path, data.draw(json_values))(doc)
+    try:
+        feats = features_from_document(doc)
+    except FeatureDocError:
+        return
+    # what loads also applies; only an undeclared relation may fail, as at any time
+    _, test, kb, _ = scenario_seed1()
+    try:
+        materialize(test, feats, kb) if feats else None
+    except KBError:
+        pass

@@ -1,8 +1,12 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from kbfg.data import Dataset, Example, materialize
 from kbfg.deep import DeepConfig, deep_generate, feature_igs, select_feature
-from kbfg.features import BaseFeature, serialize_feature
+from kbfg.features import BaseFeature, features_to_document, serialize_feature
 from kbfg.harness import base_features
 from kbfg.kb import load_kb
 from kbfg.learners import column_information_gain
@@ -159,3 +163,41 @@ def test_generated_counts_trend_down_with_depth():
     assert len(means) >= 2
     assert all(means[i] >= means[i + 1] for i in range(len(means) - 1))
     assert means[0] > means[-1]
+
+
+def three_column_context():
+    """Three independent binary columns and a city whose climate the KB knows.
+
+    The label needs `a`, then `b`, then `c` with the climate, so the split
+    tree goes three levels deep, and the feature induced over the cities at
+    depth 1 is inherited by a subset of a subset of its node's examples.
+    """
+    cities = [f"city{i}" for i in range(8)]
+    hot = set(cities[:4])
+    kb = load_kb([f"climateOf\t{c}\t{'hot' if c in hot else 'cold'}" for c in cities],
+                 ["climateOf\tcity\tclimate\tfn"])
+    examples = []
+    for i, (a, b, c, city) in enumerate(itertools.product("01", "01", "01", cities)):
+        y = int(a == "1" and (b == "1" or (c == "1" and city in hot)))
+        examples.append(Example(f"e{i}", y, {"a": a, "b": b, "c": c, "city": city}))
+    ds = Dataset(examples, [(n, n) for n in ("a", "b", "c", "city")])
+    return ds, [BaseFeature(n) for n in ("a", "b", "c", "city")], kb
+
+
+def test_deeper_split_tree_evaluates_each_cell_once(evaluations):
+    ds, feats, kb = three_column_context()
+    cfg = DeepConfig(min_node_size=4,
+                     generation=GenerationConfig(depth=1, min_recursive_size=4))
+    deep_feats, report = deep_generate(ds, feats, kb, cfg)
+    assert [row["depth"] for row in report.rows()] == [0, 1, 2, 3]
+    assert [f.name for f in deep_feats] == ["induced[city]#5c27293a"]
+    assert [key for key, n in evaluations.items() if n > 1] == []
+
+    # the same bytes as before nodes were handed their parent's rows
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj, indent=2, sort_keys=True).encode()).hexdigest()
+
+    assert digest(report.to_json()) == \
+        "b765462f025dd7f9c6ba3255e108be35234f3c61d87aab51e343695037c8896b"
+    assert digest(features_to_document(deep_feats, report.to_json())) == \
+        "1fde2b217a2ada53a1e6e74024a01164053fb48fa42e9abdac00dba1f9c79160"

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from kbfg.aggregators import any_aggregate, majority_aggregate
@@ -91,6 +92,14 @@ def test_coverage_threshold_admits_partial():
     assert expand_features(ds, [BaseFeature("surname")], KB, "any", 1.0) == []
     out = expand_features(ds, [BaseFeature("surname")], KB, "any", 0.5)
     assert [f.name for f in out] == ["countryOf(surname)"]
+
+
+@pytest.mark.parametrize("coverage", [7, 0, -0.5])
+def test_coverage_threshold_outside_unit_interval_rejected(coverage):
+    # 7 would admit no relation and 0 or below every relation
+    ds = make_ds("surname", ["nowak", "haddad"])
+    with pytest.raises(ValueError, match="coverage_threshold"):
+        expand_features(ds, [BaseFeature("surname")], KB, "any", coverage)
 
 
 def test_output_count_equals_observed_codomain():

@@ -256,7 +256,7 @@ def test_models_survive_json():
     m = matrix([["a", None], ["b", "y"], ["a", "y"], ["b", None]], [1, 0, 1, 0])
     for train in (train_decision_tree, train_knn, train_linear):
         model = train(m, TrainConfig())
-        back = model_from_json(model.to_json())
+        back = model_from_json(model.to_json(), 2)
         for row in m.rows + [["zzz", "y"], [None, None]]:
             assert back.predict(row) == model.predict(row)
 

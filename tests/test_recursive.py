@@ -1,10 +1,7 @@
-from collections import Counter
-
 import pytest
 
-import kbfg.data
-import kbfg.recursive
-from kbfg.data import Dataset, Example
+from kbfg.data import Dataset, Example, materialize
+from kbfg.deep import DeepConfig, deep_generate
 from kbfg.features import (
     BaseFeature,
     ClassifierFeature,
@@ -314,21 +311,33 @@ def test_stats_accounting_identity():
     assert s["candidates_tried"] == s["features_generated"] + sum(s["filtered"].values())
 
 
-def test_generation_evaluates_each_column_cell_once(monkeypatch):
+def test_generation_evaluates_each_column_cell_once(evaluations):
     train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
-    calls = Counter()
-    examples = []  # every example stays referenced, so no id is reused
-
-    def recording(f, x, kb):
-        examples.append(x)
-        calls[id(x), f.name] += 1
-        return evaluate_feature(f, x, kb)
-
-    for module in (kbfg.data, kbfg.recursive):
-        monkeypatch.setattr(module, "evaluate_feature", recording)
     feats = generate_features(train, base_features(train), kb)
-    assert feats and sum(calls.values()) > len(train)
-    assert [key for key, n in calls.items() if n > 1] == []
+    assert feats and sum(evaluations.values()) > len(train)
+    assert [key for key, n in evaluations.items() if n > 1] == []
+
+    # `deep` hands each split node its parent's rows: no inherited column is
+    # evaluated again, neither by the node's generator nor for its split
+    evaluations.clear()
+    spec = ScenarioSpec(seed=3, balanced_surname_groups=True, desert_fraction=0.7)
+    train, _, kb, _ = gen_disorder_scenario(spec)
+    feats, report = deep_generate(train, base_features(train), kb, DeepConfig())
+    assert feats and len(report.per_depth) > 1 and sum(evaluations.values()) > len(train)
+    assert [key for key, n in evaluations.items() if n > 1] == []
+
+
+def test_generate_rejects_a_matrix_of_other_columns_or_examples():
+    train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
+    feats = base_features(train)
+    given = generate_features(train, feats, kb, matrix=materialize(train, feats, kb))
+    assert [serialize_feature(f) for f in given] == \
+        [serialize_feature(f) for f in generate_features(train, feats, kb)]
+    with pytest.raises(ValueError, match="matrix"):
+        generate_features(train, feats, kb, matrix=materialize(train, feats[::-1], kb))
+    with pytest.raises(ValueError, match="matrix"):
+        generate_features(train, feats, kb,
+                          matrix=materialize(train.subset(range(10)), feats, kb))
 
 
 def test_generate_without_features_is_empty():

@@ -22,7 +22,7 @@ def test_script_runs(script):
 
 
 def run_cli(out, hash_seed):
-    """`synth`, then `generate` and `deep` on it; every file written, by name."""
+    """`synth`, then `generate`, `deep` and `eval` on it; every file written, by name."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
     scen = out / "scen"
     kb = ["--data", str(scen / "train.jsonl"), "--kb-schema", str(scen / "kb_schema.tsv"),
@@ -32,7 +32,9 @@ def run_cli(out, hash_seed):
                   "--out", str(scen)],
                  ["generate", *kb, "--out", str(out / "generate.json")],
                  ["deep", *kb, "--min-node-size", "5", "--out", str(out / "deep.json"),
-                  "--report", str(out / "report.json")]):
+                  "--report", str(out / "report.json")],
+                 ["eval", *kb, "--folds", "3", "--methods", "baseline,recursive_d1",
+                  "--learners", "tree,knn", "--out", str(out / "eval.json")]):
         done = subprocess.run([sys.executable, "-m", "kbfg", *args], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -41,7 +43,7 @@ def run_cli(out, hash_seed):
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     runs = [run_cli(tmp_path / str(seed), seed) for seed in (0, 1, 2)]
-    assert len(runs[0]) == 8
+    assert len(runs[0]) == 9
     for doc in ("generate.json", "deep.json"):
         assert json.loads(runs[0][doc])["features"]
     assert runs[1] == runs[0] and runs[2] == runs[0]
