@@ -5,35 +5,47 @@ all.  ``majority`` fires when the target value has maximal multiplicity and
 is the lexicographically smallest among the maxima, so that exactly one
 target fires per non-empty multiset and the resulting feature group forms a
 partition.
+
+``fired_targets`` gives every target that fires on one multiset, so
+``materialize`` fills all the indicator columns of one (inner feature,
+relation, family) from one lookup per token.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import FrozenSet, Iterable
 
 FAMILIES = ("majority", "any")
 
 
-def majority_aggregate(values: Iterable[str], v: str) -> int:
-    """1 iff `v` is the unique designated majority element of the multiset.
+def fired_targets(family: str, values: Iterable[str]) -> FrozenSet[str]:
+    """The targets whose `family` aggregator fires on the multiset `values`.
 
-    Ties between equally frequent values resolve to the lexicographically
-    smallest, so summing over all targets gives exactly 1 on non-empty
-    input.  Empty input yields 0 for every target.
+    ``any`` fires at every value present.  ``majority`` fires at the one
+    value of maximal multiplicity, ties resolved to the lexicographically
+    smallest, so it fires at exactly one target on non-empty input.  Empty
+    input fires nothing.  This is the one place the semantics live: a
+    single aggregator feature and a whole family of them read the same set.
     """
+    if family == "any":
+        return frozenset(values)
     counts = Counter(values)
     if not counts:
-        return 0
+        return frozenset()
     top = max(counts.values())
-    winner = min(val for val, c in counts.items() if c == top)
-    return int(v == winner)
+    return frozenset((min(val for val, c in counts.items() if c == top),))
+
+
+def majority_aggregate(values: Iterable[str], v: str) -> int:
+    """1 iff `v` is the unique designated majority element of the multiset."""
+    return int(v in fired_targets("majority", values))
 
 
 def any_aggregate(values: Iterable[str], v: str) -> int:
     """1 iff `v` occurs in the multiset at all."""
-    return int(v in set(values))
+    return int(v in fired_targets("any", values))
 
 
 @dataclass(frozen=True)
@@ -48,9 +60,7 @@ class AggregatorInstance:
             raise ValueError(f"unknown aggregator family {self.family!r}")
 
     def apply(self, values: Iterable[str]) -> int:
-        if self.family == "majority":
-            return majority_aggregate(values, self.value)
-        return any_aggregate(values, self.value)
+        return int(self.value in fired_targets(self.family, values))
 
     def to_json(self) -> dict:
         return {"family": self.family, "value": self.value}

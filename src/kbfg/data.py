@@ -12,6 +12,11 @@ example::
 Feature values are strings (atoms) or arrays of strings (value sets; an
 empty array means missing).  Without a header the schema is inferred as the
 union of observed feature names, typed by their own name.
+
+``materialize`` evaluates features into a row-major ``FeatureMatrix``.  The
+aggregator indicators of one (inner feature, relation, family) are filled
+together, from one evaluation of the inner value and one knowledge-base
+lookup per token and example; every other cell is evaluated on its own.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from kbfg.features import Feature, evaluate_feature
+from kbfg.aggregators import fired_targets
+from kbfg.features import Feature, RelationFeature, evaluate_feature
 from kbfg.kb import KnowledgeBase
-from kbfg.values import FeatureValue, normalize_value, value_to_json
+from kbfg.values import FeatureValue, iter_atoms, normalize_value, value_to_json
 
 
 class DatasetError(Exception):
@@ -67,7 +73,7 @@ def _parse_record(obj: dict, lineno: int, schema_names: Optional[List[str]]) -> 
         raise DatasetError(f"line {lineno}: features must be an object")
     if not isinstance(ex_id, str) or not ex_id:
         raise DatasetError(f"line {lineno}: id must be a non-empty string")
-    if label not in (0, 1) or isinstance(label, bool):
+    if type(label) is not int or label not in (0, 1):
         raise DatasetError(f"line {lineno}: label must be 0 or 1, got {label!r}")
     assignment: Dict[str, FeatureValue] = {}
     for name, raw in feats.items():
@@ -182,10 +188,35 @@ class FeatureMatrix:
 def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> FeatureMatrix:
     """Evaluate every feature on every example; labels ride along.
 
-    Evaluation is pure, so rows are independent and the result is
-    deterministic.
+    The aggregator features that share one (inner feature, relation,
+    family) form a family, such as the indicators one relation spawns over
+    a derived problem.  A family is filled in one pass: per example its
+    inner value is evaluated once (or read from its own column, when the
+    inner is also one of `features`), each of its tokens is looked up
+    once, and the set of targets that fire gives every member's cell.
+    Every other cell is evaluated on its own.  Evaluation is pure, so the
+    result is the one cell-by-cell evaluation gives, and deterministic.
     """
     if not features:
         raise ValueError("materialize requires at least one feature")
-    rows = [[evaluate_feature(f, x, kb) for f in features] for x in ds.examples]
-    return FeatureMatrix(rows, ds.labels, [f.name for f in features])
+    examples = ds.examples
+    columns: List[Optional[list]] = [None] * len(features)
+    families: Dict[tuple, List[Tuple[int, str]]] = {}
+    for j, f in enumerate(features):
+        if isinstance(f, RelationFeature) and f.aggregator is not None:
+            families.setdefault((f.inner, f.relation, f.aggregator.family), []).append(
+                (j, f.aggregator.value))
+        else:
+            columns[j] = [evaluate_feature(f, x, kb) for x in examples]
+    inner_values = {f: column for f, column in zip(features, columns)
+                    if column is not None} if families else {}
+    for (inner, relation, family), members in families.items():
+        if inner not in inner_values:
+            inner_values[inner] = [evaluate_feature(inner, x, kb) for x in examples]
+        fired = [None if v is None else fired_targets(
+                     family, [o for tok in iter_atoms(v) for o in kb.lookup(relation, tok)])
+                 for v in inner_values[inner]]
+        for j, target in members:
+            columns[j] = [None if s is None else "1" if target in s else "0" for s in fired]
+    return FeatureMatrix([list(row) for row in zip(*columns)], ds.labels,
+                         [f.name for f in features])

@@ -58,6 +58,6 @@ def _expand_one(f: Feature, rel: Relation, values: List[str], kb: KnowledgeBase,
         return [RelationFeature(f, rel.name)]
     codomain: Set[str] = set()
     for v in values:
-        codomain.update(kb.lookup(rel.name, v))
+        codomain.update(rel.index.get(v, ()))
     return [RelationFeature(f, rel.name, AggregatorInstance(family, target))
             for target in sorted(codomain)]

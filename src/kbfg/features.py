@@ -218,10 +218,8 @@ def _eval(f: Feature, assignment: Mapping[str, FeatureValue], kb: KnowledgeBase)
                 objects.extend(kb.lookup(f.relation, tok))
             return atom_or_set(objects)
         # multiset semantics: multiplicities accumulate across inner tokens
-        multiset: List[str] = []
-        for tok in iter_atoms(inner):
-            multiset.extend(sorted(kb.lookup(f.relation, tok)))
-        return str(f.aggregator.apply(multiset))
+        return str(f.aggregator.apply(
+            [o for tok in iter_atoms(inner) for o in kb.lookup(f.relation, tok)]))
 
     if isinstance(f, ClassifierFeature):
         inner = _eval(f.inner, assignment, kb)

@@ -9,7 +9,10 @@ label with ties resolved to 0.
   gain (index ties to the lower index).  A split is admissible only when
   every child keeps at least ``min_leaf`` examples, which is what stops
   id-like columns from being used.  Unseen split values route to the
-  fallback child, the child that held the most training examples.
+  fallback child, the child that held the most training examples.  Training
+  works on row bitmasks: one mask per (column, value), a node is a mask,
+  and group sizes and positive counts are bit counts, scored by the same
+  count-based gain core as ``column_information_gain``.
 * k-NN: Hamming distance over value vectors, distance ties to the lower
   stored row, vote ties to 0.  The model keeps one row bitmask per
   (column, value); a query adds up its matching masks in a bit-sliced
@@ -63,18 +66,34 @@ def majority_label(labels: Iterable[int]) -> int:
     return int(sum(labels) * 2 > len(labels))
 
 
-def entropy(labels: Sequence[int]) -> float:
-    """Binary entropy of a label sequence, in bits; 0*log0 counts as 0."""
-    n = len(labels)
-    if n == 0:
-        return 0.0
-    ones = sum(labels)
+def _entropy(n: int, ones: int) -> float:
+    """Binary entropy, in bits, of `n` labels of which `ones` are 1."""
     h = 0.0
     for c in (ones, n - ones):
         if c:
             p = c / n
             h -= p * math.log2(p)
     return h
+
+
+def _gain(n: int, ones: int, groups: Iterable[Tuple[int, int]]) -> float:
+    """Information gain of splitting `n` labels (`ones` of them 1) into
+    groups given as (size, ones) pairs, summed in the order given.
+
+    The one gain core: the tree, ``column_information_gain`` and the guarded
+    ``information_gain`` all score a split here, so equal counts in equal
+    order give bit-identical gains everywhere.
+    """
+    cond = 0.0
+    for size, pos in groups:
+        cond += size / n * _entropy(size, pos)
+    return max(0.0, _entropy(n, ones) - cond)
+
+
+def entropy(labels: Sequence[int]) -> float:
+    """Binary entropy of a label sequence, in bits; 0*log0 counts as 0."""
+    n = len(labels)
+    return _entropy(n, sum(labels)) if n else 0.0
 
 
 def information_gain(labels: Sequence[int], partition: Iterable[Sequence[int]]) -> float:
@@ -90,10 +109,7 @@ def information_gain(labels: Sequence[int], partition: Iterable[Sequence[int]]) 
     covered = sorted(i for g in groups for i in g)
     if covered != list(range(n)):
         raise ValueError("partition must cover every label index exactly once")
-    cond = 0.0
-    for g in groups:
-        cond += len(g) / n * entropy([labels[i] for i in g])
-    return max(0.0, entropy(labels) - cond)
+    return _gain(n, sum(labels), [(len(g), sum(labels[i] for i in g)) for g in groups])
 
 
 def groups_by_value(column: Sequence[FeatureValue]) -> Dict[FeatureValue, List[int]]:
@@ -106,8 +122,14 @@ def groups_by_value(column: Sequence[FeatureValue]) -> Dict[FeatureValue, List[i
 
 def column_information_gain(matrix: FeatureMatrix, j: int) -> float:
     """IG of splitting the matrix's labels by column j's values (missing included)."""
-    groups = groups_by_value(matrix.column(j))
-    return information_gain(matrix.labels, groups.values())
+    sizes: Dict[FeatureValue, int] = {}
+    ones: Dict[FeatureValue, int] = {}
+    for v, y in zip(matrix.column(j), matrix.labels):
+        sizes[v] = sizes.get(v, 0) + 1
+        ones[v] = ones.get(v, 0) + y
+    if not sizes:
+        raise ValueError("information_gain requires labels")
+    return _gain(len(matrix.labels), sum(matrix.labels), zip(sizes.values(), ones.values()))
 
 
 # --- decision tree ---------------------------------------------------------
@@ -185,41 +207,64 @@ class TreeModel:
 
 
 def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> TreeModel:
+    """Grow the tree over row bitmasks: bit i stands for row i.
+
+    Each (column, value) gets its row mask once.  A node is a row mask; a
+    candidate split's group sizes and positive counts are bit counts of the
+    node's mask and the value masks.  Groups are summed in the order of
+    their lowest row, the order in which a scan of the node's rows first
+    meets their values, so every gain is the one ``information_gain`` gives.
+    A column constant on a node is constant below it and is not scored
+    there again.
+    """
     cfg = cfg or TrainConfig()
     if not matrix.rows:
         raise ValueError("cannot train on an empty matrix")
     n_features = len(matrix.rows[0])
+    positive = sum(1 << i for i, y in enumerate(matrix.labels) if y == 1)
+    columns = []                           # (j, [(value, row mask), ...]) per column
+    for j in range(n_features):
+        masks: Dict[FeatureValue, int] = {}
+        bit = 1
+        for row in matrix.rows:
+            masks[row[j]] = masks.get(row[j], 0) | bit
+            bit <<= 1
+        columns.append((j, list(masks.items())))
 
-    def build(indices: List[int], depth: int) -> TreeNode:
-        labels = [matrix.labels[i] for i in indices]
-        node_majority = majority_label(labels)
-        if len(set(labels)) == 1:
-            return TreeNode(label=labels[0], n=len(indices))
+    def build(node: int, columns, depth: int) -> TreeNode:
+        n = node.bit_count()
+        ones = (node & positive).bit_count()
+        if ones in (0, n):
+            return TreeNode(label=int(ones > 0), n=n)
+        node_majority = int(ones * 2 > n)
         if depth >= cfg.max_depth:
-            return TreeNode(label=node_majority, n=len(indices))
+            return TreeNode(label=node_majority, n=n)
 
-        # groups hold positions local to `indices`
         best_j, best_gain, best_groups = None, 0.0, None
-        for j in range(n_features):
-            groups = groups_by_value([matrix.rows[i][j] for i in indices])
-            if len(groups) < 2:
+        live = []                          # the columns not constant on this node
+        for j, groups in columns:
+            here = [(v, m & node) for v, m in groups if m & node]
+            if len(here) < 2:
                 continue
-            if any(len(g) < cfg.min_leaf for g in groups.values()):
+            live.append((j, here))
+            counts = [(m.bit_count(), (m & positive).bit_count()) for _, m in here]
+            if any(size < cfg.min_leaf for size, _ in counts):
                 continue  # split would create an undersized leaf
-            gain = information_gain(labels, groups.values())
+            if len(counts) > 2:            # a sum of two terms is the same either way
+                counts = [c for _, c in sorted(zip([m & -m for _, m in here], counts))]
+            gain = _gain(n, ones, counts)
             if gain > best_gain + 1e-12:
-                best_j, best_gain, best_groups = j, gain, groups
+                best_j, best_gain, best_groups = j, gain, here
         if best_j is None:
-            return TreeNode(label=node_majority, n=len(indices))
+            return TreeNode(label=node_majority, n=n)
 
-        items = sorted(best_groups.items(), key=lambda kv: value_sort_key(kv[0]))
-        children = [(v, build([indices[p] for p in g], depth + 1)) for v, g in items]
-        sizes = [len(g) for _, g in items]
+        items = sorted(best_groups, key=lambda vm: value_sort_key(vm[0]))
+        children = [(v, build(m, live, depth + 1)) for v, m in items]
+        sizes = [m.bit_count() for _, m in items]
         fallback = max(range(len(sizes)), key=lambda k: (sizes[k], -k))
-        return TreeNode(feature=best_j, children=children, fallback=fallback,
-                        n=len(indices))
+        return TreeNode(feature=best_j, children=children, fallback=fallback, n=n)
 
-    root = build(list(range(len(matrix.rows))), 0)
+    root = build((1 << len(matrix.rows)) - 1, columns, 0)
     return TreeModel(root, majority_label(matrix.labels), n_features)
 
 

@@ -23,10 +23,14 @@ of the features that pass adds evaluated and appended, is the classifier's
 training matrix.
 
 A candidate with fewer than ``min_recursive_size`` objects, a single object
-class, or no applicable relations is dropped.  Every candidate looked at,
-dropped or not, is recorded once as a ``CandidateRecord`` whose status says
-which filter it met; the ``generate`` summary and the ``deep`` per-depth
-report are reductions over those records.
+class, or no applicable relations is dropped; the objects are labelled only
+once some candidate of the source has enough of them.  A candidate
+whose induced feature has the name of one already present (an input feature
+or one generated earlier in the pass) is dropped as ``duplicate``.  Every
+candidate looked at, dropped or not, is recorded once as a
+``CandidateRecord`` whose status says which filter it met; the ``generate``
+summary and the ``deep`` per-depth report are reductions over those
+records.
 """
 
 from __future__ import annotations
@@ -78,6 +82,8 @@ class RecursiveProblem:
     objects: List[Tuple[str, int]]      # (value token, majority label), sorted by token
     features: List[Feature]             # feature map over the value column
     partition_type: Optional[str] = None
+    # the problem's entry in the generation stats, re-marked if its feature is dropped
+    record: Optional[CandidateRecord] = field(default=None, compare=False, repr=False)
 
     def as_dataset(self) -> Dataset:
         vtype = self.partition_type or VALUE_COLUMN
@@ -93,7 +99,7 @@ class CandidateRecord:
     level: int                  # 0 = problem over the caller's own features
     n_objects: int
     n_examples: int
-    status: str                 # generated | too_small | single_class | no_relations
+    status: str                 # generated | too_small | single_class | no_relations | duplicate
     partition_type: Optional[str] = None
 
 
@@ -147,18 +153,21 @@ def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
     recorded in `stats` with its status.
     """
     stats = stats if stats is not None else GenerationStats()
-    label_of = _value_labels([list(iter_atoms(v)) for v in column], ds.labels)
-    all_values = sorted(label_of)
-
-    if any(isinstance(v, frozenset) for v in column):
+    distinct = set(column)
+    all_values = sorted({tok for v in distinct for tok in iter_atoms(v)})
+    if any(isinstance(v, frozenset) for v in distinct):
         candidates = _partition_by_type(all_values, kb)
     else:
         candidates = [(None, all_values)]
 
+    # the values are labelled once, and only if some candidate is large enough
+    label_of: Optional[Dict[str, int]] = None
     problems: List[RecursiveProblem] = []
     for ptype, values in candidates:
         status = None
         feats: List[Feature] = []
+        if label_of is None and len(values) >= cfg.min_recursive_size:
+            label_of = _value_labels([list(iter_atoms(v)) for v in column], ds.labels)
         if len(values) < cfg.min_recursive_size:
             status = "too_small"
         elif len({label_of[v] for v in values}) == 1:
@@ -172,11 +181,12 @@ def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
             feats = _candidate_features(values, rels, kb, cfg.aggregator_family)
             if not feats:
                 status = "no_relations"
-        stats.add(CandidateRecord(f.name, level, len(values), len(ds.examples),
-                                  status or "generated", ptype))
+        record = CandidateRecord(f.name, level, len(values), len(ds.examples),
+                                 status or "generated", ptype)
+        stats.add(record)
         if status is None:
             problems.append(RecursiveProblem(
-                f.name, [(v, label_of[v]) for v in values], feats, ptype))
+                f.name, [(v, label_of[v]) for v in values], feats, ptype, record))
     return problems
 
 
@@ -241,7 +251,9 @@ def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],
             new = ClassifierFeature(inner=f, model=model,
                                     value_features=tuple(problem.features + added),
                                     partition_type=problem.partition_type)
-            if new.name not in seen_names:
+            if new.name in seen_names:
+                problem.record.status = "duplicate"
+            else:
                 seen_names.add(new.name)
                 out.append(new)
     return out

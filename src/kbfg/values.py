@@ -24,14 +24,12 @@ def normalize_value(raw: Union[str, Iterable[str], None]) -> FeatureValue:
         if not raw:
             raise ValueError("empty token is not a valid value")
         return raw
-    vs = frozenset(raw)
-    if not vs:
-        return None
-    for tok in vs:
+    toks = list(raw)
+    for tok in toks:  # checked before hashing: a list member cannot be hashed
         if not isinstance(tok, str) or not tok:
             raise ValueError(f"value set member {tok!r} is not a non-empty token")
     # a singleton stays a set: set-ness is part of the value's identity
-    return vs
+    return frozenset(toks) or None
 
 
 def value_sort_key(v: FeatureValue) -> tuple:

@@ -3,19 +3,42 @@
 ``train_linear`` shrinks every weight at every step, ``knn_predict`` sorts
 every stored row by Hamming distance for each query, and
 ``predict_on_token`` evaluates every value-level feature before the model
-reads the row.  They are the straightforward versions the library used
-before its lazy-shrink linear trainer, bitmask k-NN index and lazily
-evaluated model rows; the differential tests in ``test_learner_oracles.py``
-require identical results from the library.
+reads the row.  ``materialize`` evaluates every cell on its own,
+``train_decision_tree`` groups a list of row indices by value at every
+(node, column) and scores it with the guarded ``information_gain``, and
+``create_new_problem`` labels every value before its size filter.  They are
+the straightforward versions the library used before its lazy-shrink linear
+trainer, bitmask k-NN index, lazily evaluated model rows, per-family
+aggregator fill, bitmask tree and early size filter; the differential tests
+in ``test_learner_oracles.py`` require identical results from the library.
 """
 
-from typing import Dict, Optional, Sequence, Tuple
+import math
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from kbfg.data import FeatureMatrix
-from kbfg.features import VALUE_COLUMN, ClassifierFeature, _eval
+from kbfg.data import Dataset, FeatureMatrix
+from kbfg.features import VALUE_COLUMN, ClassifierFeature, Feature, _eval, evaluate_feature
 from kbfg.kb import KnowledgeBase
-from kbfg.learners import LinearModel, TrainConfig, _encode, majority_label
-from kbfg.values import FeatureValue
+from kbfg.learners import (
+    LinearModel,
+    TrainConfig,
+    TreeModel,
+    TreeNode,
+    _encode,
+    majority_label,
+)
+from kbfg.recursive import (
+    CandidateRecord,
+    GenerationConfig,
+    GenerationStats,
+    RecursiveProblem,
+    _candidate_features,
+    _coverage,
+    _partition_by_type,
+    _value_labels,
+)
+from kbfg.values import FeatureValue, iter_atoms, value_sort_key
 
 
 def train_linear(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> LinearModel:
@@ -65,3 +88,159 @@ def predict_on_token(f: ClassifierFeature, token: str, kb: KnowledgeBase) -> int
     """Apply the embedded model to one value token via the value-level features."""
     row = [_eval(vf, {VALUE_COLUMN: token}, kb) for vf in f.value_features]
     return f.model.predict(row)
+
+
+def majority_aggregate(values: Iterable[str], v: str) -> int:
+    counts = Counter(values)
+    if not counts:
+        return 0
+    top = max(counts.values())
+    winner = min(val for val, c in counts.items() if c == top)
+    return int(v == winner)
+
+
+def any_aggregate(values: Iterable[str], v: str) -> int:
+    return int(v in set(values))
+
+
+def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> FeatureMatrix:
+    """Evaluate every feature on every example; labels ride along.
+
+    Evaluation is pure, so rows are independent and the result is
+    deterministic.
+    """
+    if not features:
+        raise ValueError("materialize requires at least one feature")
+    rows = [[evaluate_feature(f, x, kb) for f in features] for x in ds.examples]
+    return FeatureMatrix(rows, ds.labels, [f.name for f in features])
+
+
+def entropy(labels: Sequence[int]) -> float:
+    """Binary entropy of a label sequence, in bits; 0*log0 counts as 0."""
+    n = len(labels)
+    if n == 0:
+        return 0.0
+    ones = sum(labels)
+    h = 0.0
+    for c in (ones, n - ones):
+        if c:
+            p = c / n
+            h -= p * math.log2(p)
+    return h
+
+
+def information_gain(labels: Sequence[int], partition: Iterable[Sequence[int]]) -> float:
+    """Entropy reduction of `labels` under a partition of its indices.
+
+    `partition` groups every index exactly once (guarded).  Result is in
+    bits and clamped to be non-negative against rounding.
+    """
+    groups = [list(g) for g in partition]
+    n = len(labels)
+    if n == 0:
+        raise ValueError("information_gain requires labels")
+    covered = sorted(i for g in groups for i in g)
+    if covered != list(range(n)):
+        raise ValueError("partition must cover every label index exactly once")
+    cond = 0.0
+    for g in groups:
+        cond += len(g) / n * entropy([labels[i] for i in g])
+    return max(0.0, entropy(labels) - cond)
+
+
+def groups_by_value(column: Sequence[FeatureValue]) -> Dict[FeatureValue, List[int]]:
+    """The row indices holding each distinct value, values in first-seen order."""
+    groups: Dict[FeatureValue, List[int]] = {}
+    for i, v in enumerate(column):
+        groups.setdefault(v, []).append(i)
+    return groups
+
+
+def column_information_gain(matrix: FeatureMatrix, j: int) -> float:
+    """IG of splitting the matrix's labels by column j's values (missing included)."""
+    groups = groups_by_value(matrix.column(j))
+    return information_gain(matrix.labels, groups.values())
+
+
+def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> TreeModel:
+    cfg = cfg or TrainConfig()
+    if not matrix.rows:
+        raise ValueError("cannot train on an empty matrix")
+    n_features = len(matrix.rows[0])
+
+    def build(indices: List[int], depth: int) -> TreeNode:
+        labels = [matrix.labels[i] for i in indices]
+        node_majority = majority_label(labels)
+        if len(set(labels)) == 1:
+            return TreeNode(label=labels[0], n=len(indices))
+        if depth >= cfg.max_depth:
+            return TreeNode(label=node_majority, n=len(indices))
+
+        # groups hold positions local to `indices`
+        best_j, best_gain, best_groups = None, 0.0, None
+        for j in range(n_features):
+            groups = groups_by_value([matrix.rows[i][j] for i in indices])
+            if len(groups) < 2:
+                continue
+            if any(len(g) < cfg.min_leaf for g in groups.values()):
+                continue  # split would create an undersized leaf
+            gain = information_gain(labels, groups.values())
+            if gain > best_gain + 1e-12:
+                best_j, best_gain, best_groups = j, gain, groups
+        if best_j is None:
+            return TreeNode(label=node_majority, n=len(indices))
+
+        items = sorted(best_groups.items(), key=lambda kv: value_sort_key(kv[0]))
+        children = [(v, build([indices[p] for p in g], depth + 1)) for v, g in items]
+        sizes = [len(g) for _, g in items]
+        fallback = max(range(len(sizes)), key=lambda k: (sizes[k], -k))
+        return TreeNode(feature=best_j, children=children, fallback=fallback,
+                        n=len(indices))
+
+    root = build(list(range(len(matrix.rows))), 0)
+    return TreeModel(root, majority_label(matrix.labels), n_features)
+
+
+def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
+                       kb: KnowledgeBase, cfg: GenerationConfig,
+                       stats: Optional[GenerationStats] = None,
+                       level: int = 0) -> List[RecursiveProblem]:
+    """The surviving candidate problems for one source feature, possibly none.
+
+    `column` holds the values of `f` on the examples of `ds`, in order.
+    Atom-valued sources yield at most one problem; set-valued sources yield
+    one per covering departure type.  Every candidate, surviving or not, is
+    recorded in `stats` with its status.
+    """
+    stats = stats if stats is not None else GenerationStats()
+    label_of = _value_labels([list(iter_atoms(v)) for v in column], ds.labels)
+    all_values = sorted(label_of)
+
+    if any(isinstance(v, frozenset) for v in column):
+        candidates = _partition_by_type(all_values, kb)
+    else:
+        candidates = [(None, all_values)]
+
+    problems: List[RecursiveProblem] = []
+    for ptype, values in candidates:
+        status = None
+        feats: List[Feature] = []
+        if len(values) < cfg.min_recursive_size:
+            status = "too_small"
+        elif len({label_of[v] for v in values}) == 1:
+            status = "single_class"
+        else:
+            if ptype is None:
+                rels = kb.applicable_relations(values, cfg.coverage_threshold)
+            else:
+                rels = [r for r in kb.relations_of_departure_type(ptype)
+                        if _coverage(r, values) >= cfg.coverage_threshold]
+            feats = _candidate_features(values, rels, kb, cfg.aggregator_family)
+            if not feats:
+                status = "no_relations"
+        stats.add(CandidateRecord(f.name, level, len(values), len(ds.examples),
+                                  status or "generated", ptype))
+        if status is None:
+            problems.append(RecursiveProblem(
+                f.name, [(v, label_of[v]) for v in values], feats, ptype))
+    return problems

@@ -89,7 +89,10 @@ def test_unknown_feature_name_rejected():
     ({"id": "a", "label": 0, "features": None}, "line 2: features must be an object"),
     ({"schema": 5}, "line 1: schema header"),
     ({"schema": {"g": 3}}, "line 1: schema header"),
-], ids=["features-list", "features-null", "schema-number", "schema-type-number"])
+    ({"id": "a", "label": 0, "features": {"surname": [[]]}}, "line 2: feature 'surname'"),
+    ({"id": "a", "label": 1.0, "features": {}}, "line 2: label must be 0 or 1"),
+], ids=["features-list", "features-null", "schema-number", "schema-type-number",
+        "set-member-list", "label-float"])
 def test_malformed_header_or_record_names_the_line(obj, match):
     header = {"schema": {"surname": "surname"}}
     source = lines(obj) if "schema" in obj else lines(header, obj)
@@ -367,3 +370,50 @@ def test_mutated_feature_document_raises_only_feature_doc_error(learner_kind, da
         materialize(test, feats, kb) if feats else None
     except KBError:
         pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=True)
+    | st.sampled_from(["", "p1", "x", "haddad", "surname", "gender"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "label", "features", "schema", "surname",
+                                       "gender", "x"]), inner, max_size=4),
+    max_leaves=8)
+record_lines = st.one_of(
+    json_values.map(json.dumps),
+    st.fixed_dictionaries({"id": json_values, "label": json_values,
+                           "features": json_values}).map(json.dumps),
+    st.fixed_dictionaries({"id": st.sampled_from(["p1", "p2"]),
+                           "label": st.sampled_from([0, 1, 1.0, True]),
+                           "features": st.dictionaries(st.sampled_from(["surname", "x"]),
+                                                       json_values, max_size=2)}
+                          ).map(json.dumps),
+    st.sampled_from(['{"schema": {"surname": "surname"}}',
+                     '{"id": "p1", "label": 1, "features": {"surname": "haddad"}}',
+                     '{"id": "p2", "label": 0, "features": {"surname": ["a", "b"]}}',
+                     "", "{", "[1, 2"]),
+    st.text(max_size=8))
+
+
+@given(st.lists(record_lines, max_size=6))
+def test_any_jsonl_lines_load_or_raise_dataset_error(lines):
+    try:
+        ds = load_dataset(lines)
+    except DatasetError:
+        return
+    assert len({x.id for x in ds.examples}) == len(ds.examples)
+    for x in ds.examples:
+        assert type(x.label) is int and x.label in (0, 1)
+        assert set(x.assignment) == set(ds.feature_names)
+
+
+@pytest.mark.parametrize("learner_kind", ["tree", "knn", "linear"])
+def test_saved_document_applied_to_fresh_examples_equals_in_memory_features(learner_kind):
+    train, test, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
+    feats = generate_features(train, base_features(train), kb,
+                              GenerationConfig(learner_kind=learner_kind))
+    assert feats
+    saved = json.dumps(features_to_document(feats), indent=2, sort_keys=True)
+    loaded = features_from_document(json.loads(saved))
+    assert [serialize_feature(f) for f in loaded] == [serialize_feature(f) for f in feats]
+    assert materialize(test, loaded, kb) == materialize(test, feats, kb)

@@ -193,11 +193,17 @@ def test_deeper_split_tree_evaluates_each_cell_once(evaluations):
     assert [f.name for f in deep_feats] == ["induced[city]#5c27293a"]
     assert [key for key, n in evaluations.items() if n > 1] == []
 
-    # the same bytes as before nodes were handed their parent's rows
+    # the depth-3 node induces the feature its depth-1 ancestor already
+    # generated: that candidate is filtered as a duplicate, not counted
+    assert report.rows()[3] == {
+        "depth": 3, "candidates_tried": 5, "features_generated": 0, "filtered_count": 5,
+        "mean_size_ratio": None, "mean_generated_ig": None, "mean_best_plain_ig": 1.0}
+    assert "duplicate" in [r.status for r in report.per_depth[3].records]
+
     def digest(obj):
         return hashlib.sha256(json.dumps(obj, indent=2, sort_keys=True).encode()).hexdigest()
 
     assert digest(report.to_json()) == \
-        "b765462f025dd7f9c6ba3255e108be35234f3c61d87aab51e343695037c8896b"
+        "a685b062bbaa8743f39e63d8f84075737a0b11661852056cd017f50f9ce78de2"
     assert digest(features_to_document(deep_feats, report.to_json())) == \
-        "1fde2b217a2ada53a1e6e74024a01164053fb48fa42e9abdac00dba1f9c79160"
+        "82a9ce71f09177c94fdad7af86898a34efb56b7fdf186c371420e73ecee93728"

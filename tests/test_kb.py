@@ -156,3 +156,23 @@ def test_lookup_union_is_object_column(inputs):
             assert objs <= rel.objects()
             union |= objs
         assert union == set(rel.objects())
+
+
+# fields near the valid ones: declared names, both kinds, blanks and stray whitespace
+kb_fields = st.one_of(st.sampled_from(["countryOf", "borderOf", "egypt", "poland", "fn",
+                                       "rel", "", " ", "\r", "#"]),
+                      st.text(max_size=4))
+kb_lines = st.one_of(st.sampled_from(SCHEMA + TRIPLES),
+                     st.lists(kb_fields, max_size=5).map("\t".join), st.text(max_size=12))
+
+
+@given(st.lists(kb_lines, max_size=8), st.lists(kb_lines, max_size=8))
+def test_any_tsv_lines_load_or_raise_kb_error(triples, schema):
+    try:
+        kb = load_kb(triples, schema)
+    except KBError:
+        return
+    for rel in kb.relations.values():
+        for subject, objects in rel.index.items():
+            assert subject and objects and all(objects)
+            assert not rel.is_function or len(objects) == 1

@@ -4,18 +4,25 @@ The linear trainer must reproduce the reference weights bit for bit (same
 floats, same key order), and the k-NN model must make the same prediction
 as sorting every stored row, on ragged rows, unseen values and k >= n.  A
 generated feature's model, given a row evaluated on demand, must predict as
-it does on the fully evaluated row.
+it does on the fully evaluated row.  On the generation hot path,
+``materialize`` must build the matrix that evaluating every cell on its own
+builds, the bitmask tree the same ``to_json()`` as the list-grouping tree
+(gains tied within 1e-12 included), and ``create_new_problem`` the same
+problems and candidate records as labelling every value first.
 """
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
 
 import kbfg.features
+import kbfg.learners
 import learner_oracles
-from kbfg.data import FeatureMatrix, materialize
+from kbfg.aggregators import FAMILIES, AggregatorInstance, fired_targets
+from kbfg.data import Dataset, Example, FeatureMatrix, materialize
 from kbfg.features import (
     BaseFeature,
     ClassifierFeature,
@@ -33,11 +40,18 @@ from kbfg.learners import (
     TrainConfig,
     TreeModel,
     TreeNode,
+    column_information_gain,
     majority_label,
+    train_decision_tree,
     train_knn,
     train_linear,
 )
-from kbfg.recursive import GenerationConfig, generate_features
+from kbfg.recursive import (
+    GenerationConfig,
+    GenerationStats,
+    create_new_problem,
+    generate_features,
+)
 from kbfg.synth import ScenarioSpec, gen_disorder_scenario
 
 ATOMS = ("a", "b", "c")
@@ -217,3 +231,201 @@ def test_applied_tree_document_reads_fewer_kb_cells(monkeypatch, distractors, fa
         reference = materialize(test, loaded, kb)
     assert lazy.rows == reference.rows
     assert 0 < lazy_calls * factor <= calls
+
+
+# --- generation hot path: aggregator families, bitmask tree, early size filter
+
+LETTERS = ("a", "b", "c", "z")   # z is looked up from no token
+# departure types `token` and `word` split a set-valued column's tokens
+GEN_KB = load_kb(
+    ["r0\tt0\ta", "r0\tt1\tb", "r0\tt2\ta", "r0\tt2\tb", "r0\tt4\tc",
+     "r1\tt0\tc", "r1\tt1\ta", "r1\tt3\tb", "r1\tt3\tc", "r1\tt4\tc",
+     "r2\tt1\ta", "r2\tt1\tc", "r2\tt2\tb", "r2\tt5\ta",
+     "w0\tt2\ta", "w0\tt3\tb", "w0\tt4\ta", "w0\tt5\tc",
+     "g\tt0\ta", "g\tt1\tb", "g\tt3\ta", "g\tt5\tc",
+     "h\ta\tb", "h\tb\tc", "h\tc\ta"],
+    ["r0\ttoken\tletter\trel", "r1\ttoken\tletter\trel", "r2\ttoken\tletter\trel",
+     "w0\tword\tletter\trel",
+     "g\ttoken\tletter\tfn", "h\tletter\tletter\tfn"])
+TOKENS = ("t0", "t1", "t2", "t3", "t4", "t5", "t6")   # t6 is in no relation
+cells = st.one_of(st.none(), st.sampled_from(TOKENS),
+                  st.frozensets(st.sampled_from(TOKENS), min_size=1, max_size=3))
+
+
+@st.composite
+def token_datasets(draw, min_size=0):
+    rows = draw(st.lists(st.tuples(cells, st.integers(0, 1)), min_size=min_size,
+                         max_size=14))
+    return Dataset([Example(f"e{i}", y, {"tok": v}) for i, (v, y) in enumerate(rows)],
+                   [("tok", "token")])
+
+
+TOK, NOTHING = BaseFeature("tok"), BaseFeature("nothing")   # `nothing` is never set
+
+
+@st.composite
+def nested_classifiers(draw):
+    """A classifier over `tok` whose tree reads relation features of the token."""
+    tree = draw(trees(len(ROW_FEATURES)))
+    return ClassifierFeature(TOK, TreeModel(tree, draw(st.integers(0, 1)),
+                                            len(ROW_FEATURES)), ROW_FEATURES)
+
+
+@st.composite
+def inners(draw):
+    return draw(st.one_of(
+        st.sampled_from([TOK, RelationFeature(TOK, "g"),
+                         RelationFeature(RelationFeature(TOK, "g"), "h")]),
+        nested_classifiers()))
+
+
+@st.composite
+def feature_lists(draw):
+    """Columns of every kind; aggregators over a few shared inners form families."""
+    shared = draw(st.lists(inners(), min_size=1, max_size=3))
+    aggregator = st.builds(
+        lambda inner, rel, family, target: RelationFeature(
+            inner, rel, AggregatorInstance(family, target)),
+        st.sampled_from(shared), st.sampled_from(["r0", "r1", "w0", "h"]),
+        st.sampled_from(FAMILIES), st.sampled_from(LETTERS))
+    other = st.one_of(
+        st.sampled_from(shared),
+        st.sampled_from([TOK, NOTHING, RelationFeature(TOK, "r1"),
+                         # an undeclared relation whose inner is never set is never looked up
+                         RelationFeature(NOTHING, "undeclared"),
+                         RelationFeature(NOTHING, "undeclared",
+                                         AggregatorInstance("any", "a"))]))
+    return draw(st.lists(st.one_of(aggregator, aggregator, other), min_size=1, max_size=14))
+
+
+@given(st.lists(st.sampled_from(LETTERS), max_size=8))
+def test_fired_targets_match_the_reference_aggregators(multiset):
+    for family, reference in (("any", learner_oracles.any_aggregate),
+                              ("majority", learner_oracles.majority_aggregate)):
+        assert fired_targets(family, multiset) == \
+            {v for v in LETTERS if reference(multiset, v)}
+
+
+@given(token_datasets(), feature_lists())
+def test_materialize_identical_to_reference(ds, feats):
+    assert materialize(ds, feats, GEN_KB) == learner_oracles.materialize(ds, feats, GEN_KB)
+
+
+def test_family_makes_one_lookup_per_row_and_token(monkeypatch, evaluations):
+    ds = Dataset([Example("e0", 1, {"tok": "t2"}),
+                  Example("e1", 0, {"tok": frozenset({"t0", "t1", "t6"})}),
+                  Example("e2", 1, {"tok": None}),
+                  Example("e3", 0, {"tok": "t4"})], [("tok", "token")])
+    family = [RelationFeature(TOK, "r0", AggregatorInstance("majority", v))
+              for v in LETTERS]
+    calls = Counter()
+    lookup = GEN_KB.lookup  # the bound method, taken before the patch
+
+    def counting(relation, subject):
+        calls[relation, subject] += 1
+        return lookup(relation, subject)
+
+    monkeypatch.setattr(GEN_KB, "lookup", counting)
+    matrix = materialize(ds, family, GEN_KB)
+    assert matrix.rows == [["1", "0", "0", "0"], ["1", "0", "0", "0"],
+                           [None] * 4, ["0", "0", "1", "0"]]
+    assert calls == {("r0", t): 1 for t in ("t2", "t0", "t1", "t6", "t4")}
+    # the inner value is evaluated once per row, the members never one by one
+    assert sorted(evaluations.values()) == [1] * 4
+    assert {name for _, name in evaluations} == {"tok"}
+
+
+@st.composite
+def tree_problems(draw):
+    n = draw(st.integers(1, 16))
+    width = draw(st.integers(1, 5))
+    column = st.one_of(
+        st.lists(st.sampled_from("abcd"), min_size=n, max_size=n),  # many near-ties
+        st.lists(values, min_size=n, max_size=n))
+    columns = draw(st.lists(column, min_size=width, max_size=width))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    cfg = TrainConfig(min_leaf=draw(st.integers(1, 4)), max_depth=draw(st.integers(1, 5)))
+    rows = [list(row) for row in zip(*columns)]
+    return FeatureMatrix(rows, labels, [f"f{j}" for j in range(width)]), cfg
+
+
+def recorded(owner, name, calls):
+    """`owner.name` wrapped to append each result to `calls`."""
+    fn = getattr(owner, name)
+
+    def recording(*args):
+        calls.append(fn(*args))
+        return calls[-1]
+
+    return recording
+
+
+@given(tree_problems())
+def test_tree_identical_to_reference(problem):
+    m, cfg = problem
+    gains, reference_gains = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        # every candidate split, node by node, scores the same float
+        mp.setattr(kbfg.learners, "_gain", recorded(kbfg.learners, "_gain", gains))
+        mp.setattr(learner_oracles, "information_gain",
+                   recorded(learner_oracles, "information_gain", reference_gains))
+        assert train_decision_tree(m, cfg).to_json() == \
+            learner_oracles.train_decision_tree(m, cfg).to_json()
+    assert [g.hex() for g in gains] == [g.hex() for g in reference_gains]
+    for j in range(len(m.feature_names)):
+        assert column_information_gain(m, j) == learner_oracles.column_information_gain(m, j)
+
+
+def test_tree_sums_a_child_node_groups_in_their_first_seen_order():
+    # below the root, the values of these columns first appear in another
+    # order than in the whole matrix, and summing them in the root's order
+    # moves some gains by a rounding
+    columns = ["dcbbdccdbcacbd", "dbcbbdbccdbdbc", "caccccccabdcdd"]
+    labels = [1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1]
+    m = FeatureMatrix([list(row) for row in zip(*columns)], labels, ["f0", "f1", "f2"])
+    gains, reference_gains = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kbfg.learners, "_gain", recorded(kbfg.learners, "_gain", gains))
+        mp.setattr(learner_oracles, "information_gain",
+                   recorded(learner_oracles, "information_gain", reference_gains))
+        train_decision_tree(m, TrainConfig(min_leaf=1))
+        learner_oracles.train_decision_tree(m, TrainConfig(min_leaf=1))
+    assert [g.hex() for g in gains] == [g.hex() for g in reference_gains]
+
+
+def test_tree_scores_a_column_again_below_its_undersized_group():
+    # column 1 leaves row 0 alone at the root, so it cannot split there; below
+    # the split on column 0, row 0 is elsewhere and column 1 splits perfectly
+    rows = [["x", "q"], ["y", "p"], ["y", "p"], ["y", "r"], ["y", "r"], ["x", "p"],
+            ["x", "r"]]
+    m = FeatureMatrix(rows, [1, 1, 1, 0, 0, 0, 0], ["f0", "f1"])
+    tree = train_decision_tree(m, TrainConfig(min_leaf=2))
+    assert tree.to_json() == learner_oracles.train_decision_tree(
+        m, TrainConfig(min_leaf=2)).to_json()
+    assert tree.root.feature == 0 and tree.root.children[1][1].feature == 1
+
+
+def test_tree_breaks_a_near_tie_as_the_reference():
+    # the two columns' gains differ by one rounding (1.1e-16), within the 1e-12 tie
+    labels = [1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1]
+    columns = ["bbadbbaddaca", "dabbaadddcbb"]
+    m = FeatureMatrix([list(row) for row in zip(*columns)], labels, ["f0", "f1"])
+    gains = [learner_oracles.column_information_gain(m, j) for j in (0, 1)]
+    assert 0 < abs(gains[0] - gains[1]) <= 1e-12
+    assert [column_information_gain(m, j) for j in (0, 1)] == gains
+    for cfg in (TrainConfig(min_leaf=1), TrainConfig(min_leaf=1, max_depth=1)):
+        assert train_decision_tree(m, cfg).to_json() == \
+            learner_oracles.train_decision_tree(m, cfg).to_json()
+
+
+@given(token_datasets(min_size=1), st.integers(1, 6), st.sampled_from(FAMILIES),
+       st.sampled_from([1.0, 0.5, 0.2]), st.integers(0, 2))
+def test_create_new_problem_identical_to_reference(ds, min_size, family, coverage, level):
+    cfg = GenerationConfig(min_recursive_size=min_size, aggregator_family=family,
+                           coverage_threshold=coverage)
+    column = [x.assignment["tok"] for x in ds.examples]
+    stats, reference_stats = GenerationStats(), GenerationStats()
+    problems = create_new_problem(TOK, ds, column, GEN_KB, cfg, stats, level)
+    assert problems == learner_oracles.create_new_problem(TOK, ds, column, GEN_KB, cfg,
+                                                          reference_stats, level)
+    assert stats.records == reference_stats.records

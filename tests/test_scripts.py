@@ -1,6 +1,8 @@
 """Subprocess runs: the experiment scripts, which no other test imports, and
-the command line under different string-hash seeds."""
+the command line under different string-hash seeds; and the bench script's
+bookkeeping, with its benchmark runs replaced."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -47,3 +49,35 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     for doc in ("generate.json", "deep.json"):
         assert json.loads(runs[0][doc])["features"]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_bench_alternates_checkouts_and_compares_with_the_first(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    order = []
+
+    def fake_run(path, workload, seed, seconds):
+        order.append((path.name, seed))
+        op_rel = {"a": 10.0, "b": 2.0}[path.name] + seed / 100
+        return {"seed": seed, "correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"op_rel": op_rel, "setup_s": 1.0, "peak_rss_mb": 5.0},
+                "summary": {}, "problems": [], "env": {"src_sha256": path.name}}
+
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--workload", "kb-distractors", "--seeds", "1-3",
+                       "--checkout", f"parent={tmp_path / 'a'}",
+                       "--checkout", f"change={tmp_path / 'b'}", "--out", str(out)]) == 0
+    assert order == [("a", 1), ("b", 1), ("b", 2), ("a", 2), ("a", 3), ("b", 3)]
+    doc = json.loads(out.read_text())
+    parent, change = doc["checkouts"]
+    assert (parent["label"], parent["src_sha256"]) == ("parent", "a")
+    assert parent["stats"]["op_rel"]["median"] == 10.02
+    assert [r["seed"] for r in change["runs"]] == [1, 2, 3]
+    assert doc["seconds"] == json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    compared = doc["comparison"]["change"]
+    assert compared["op_rel"]["better_in"] == 3 and compared["op_rel"]["gain_exceeds_base_iqr"]
+    assert compared["setup_s"]["better_in"] == 0 and not compared["setup_s"]["worse_than_bound"]
