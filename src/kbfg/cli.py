@@ -59,6 +59,18 @@ def _harness_config(args) -> HarnessConfig:
                          generation=_gen_config(args))
 
 
+def _synth_config(args) -> ScenarioSpec | None:
+    """The disorder scenario's spec; for the random scenario, only its checks."""
+    if args.scenario == "random":
+        if args.n_tasks < 1:
+            raise ValueError("n_tasks must be >= 1")
+        return None
+    return ScenarioSpec(seed=args.seed, n_train=args.n_train, n_test=args.n_test,
+                        n_countries=args.n_countries, desert_fraction=args.desert_fraction,
+                        noise=args.noise, variant=args.variant,
+                        balanced_surname_groups=args.balanced)
+
+
 def _dump(obj: dict, path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
@@ -68,14 +80,9 @@ def _dump(obj: dict, path: str | None) -> None:
         print(text)
 
 
-def cmd_synth(args, cfg: None) -> int:
+def cmd_synth(args, spec: ScenarioSpec | None) -> int:
     os.makedirs(args.out, exist_ok=True)
-    if args.scenario == "disorder":
-        spec = ScenarioSpec(seed=args.seed, n_train=args.n_train, n_test=args.n_test,
-                            n_countries=args.n_countries,
-                            desert_fraction=args.desert_fraction,
-                            noise=args.noise, variant=args.variant,
-                            balanced_surname_groups=args.balanced)
+    if spec is not None:
         train, test, kb, oracle = gen_disorder_scenario(spec)
         save_dataset(train, os.path.join(args.out, "train.jsonl"))
         save_dataset(test, os.path.join(args.out, "test.jsonl"))
@@ -145,7 +152,6 @@ def cmd_eval(args, cfg: HarnessConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kbfg",
                                      description="knowledge-based feature generation")
-    parser.set_defaults(config=lambda args: None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic scenario")
@@ -162,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balanced", action="store_true",
                    help="gender-balanced surname groups (masking scenario)")
     p.add_argument("--n-tasks", type=int, default=10)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, config=_synth_config)
 
     p = sub.add_parser("expand", help="relational expansion pass")
     _add_kb_args(p)

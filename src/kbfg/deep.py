@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from kbfg.data import Dataset, FeatureMatrix, materialize
 from kbfg.features import ClassifierFeature, Feature, serialize_feature
 from kbfg.kb import KnowledgeBase
-from kbfg.learners import column_information_gain, groups_by_value
+from kbfg.learners import column_information_gain, row_masks
 from kbfg.recursive import (
     CandidateRecord,
     GenerationConfig,
@@ -183,11 +183,12 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
 
         best = select_feature(extended, igs)
         j = next(j for j, f in enumerate(extended) if f is best)
-        groups = groups_by_value(matrix.column(j))
-        if len(groups) < 2:
+        masks = row_masks(matrix.column(j))
+        if len(masks) < 2:
             return
-        for v in sorted(groups, key=value_sort_key):
-            visit(node_ds.subset(groups[v]), extended, matrix.subset(groups[v]), depth + 1)
+        for v in sorted(masks, key=value_sort_key):
+            group = [i for i, bit in enumerate(f"{masks[v]:b}"[::-1]) if bit == "1"]
+            visit(node_ds.subset(group), extended, matrix.subset(group), depth + 1)
 
     visit(ds, list(features), materialize(ds, features, kb), 0)
     report.check()

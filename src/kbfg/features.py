@@ -72,11 +72,10 @@ class ClassifierFeature:
     model: object  # trained classifier: predict(row) -> 0|1, default_class, to_json()
     value_features: tuple  # features over VALUE_COLUMN, the model's input columns
     partition_type: Optional[str] = None
-    name: str = field(default="")
+    name: str = field(init=False)  # always derived from the fields above
 
     def __post_init__(self):
-        if not self.name:
-            object.__setattr__(self, "name", self._derive_name())
+        object.__setattr__(self, "name", self._derive_name())
 
     def __eq__(self, other):
         return isinstance(other, ClassifierFeature) and serialize_feature(self) == serialize_feature(other)
@@ -85,16 +84,17 @@ class ClassifierFeature:
         return hash(self.name)
 
     def _derive_name(self) -> str:
-        payload = {k: v for k, v in self.to_json().items() if k not in ("kind", "name")}
-        digest = hashlib.sha1(_canon(payload).encode("utf-8")).hexdigest()[:8]
+        digest = hashlib.sha1(_canon(self._payload()).encode("utf-8")).hexdigest()[:8]
         scope = self.inner.name if self.partition_type is None \
             else f"{self.inner.name}|{self.partition_type}"
         return f"induced[{scope}]#{digest}"
 
     def to_json(self) -> dict:
+        return {"kind": "classifier", "name": self.name, **self._payload()}
+
+    def _payload(self) -> dict:
+        """Every field the name is derived from."""
         return {
-            "kind": "classifier",
-            "name": self.name,
             "inner": self.inner.to_json(),
             "model": self.model.to_json(),
             "value_features": [vf.to_json() for vf in self.value_features],
@@ -132,7 +132,9 @@ def doc_field(obj, key: str, path: str, kind: type = object):
 
 def feature_from_json(obj: dict, path: str = "$") -> Feature:
     """A feature read from its JSON form at `path`; a classifier's model is
-    checked against its value features, so a malformed document fails here."""
+    checked against its value features, and a stored relation or classifier
+    name against the name derived from the rest, so a malformed document
+    fails here."""
     kind = doc_field(obj, "kind", path)
     if kind == "base":
         return BaseFeature(doc_field(obj, "name", path, str))
@@ -146,26 +148,29 @@ def feature_from_json(obj: dict, path: str = "$") -> Feature:
                 agg = AggregatorInstance(family, value)
             except ValueError as e:  # an unknown family
                 raise FeatureDocError(f"{apath}.family: {e}") from None
-        return RelationFeature(feature_from_json(doc_field(obj, "inner", path), f"{path}.inner"),
-                               doc_field(obj, "relation", path, str), agg)
-    if kind == "classifier":
+        f = RelationFeature(feature_from_json(doc_field(obj, "inner", path), f"{path}.inner"),
+                            doc_field(obj, "relation", path, str), agg)
+    elif kind == "classifier":
         from kbfg.learners import model_from_json  # deferred: learners imports data
 
         value_features = tuple(
             feature_from_json(v, f"{path}.value_features[{i}]")
             for i, v in enumerate(doc_field(obj, "value_features", path, list)))
-        partition_type, name = obj.get("partition_type"), obj.get("name", "")
-        if not isinstance(partition_type, (str, type(None))) or not isinstance(name, str):
-            raise FeatureDocError(f"{path}: name and partition_type must be strings")
-        return ClassifierFeature(
+        partition_type = obj.get("partition_type")
+        if not isinstance(partition_type, (str, type(None))):
+            raise FeatureDocError(f"{path}.partition_type: expected str or null")
+        f = ClassifierFeature(
             inner=feature_from_json(doc_field(obj, "inner", path), f"{path}.inner"),
             model=model_from_json(doc_field(obj, "model", path), len(value_features),
                                   f"{path}.model"),
             value_features=value_features,
             partition_type=partition_type,
-            name=name,
         )
-    raise FeatureDocError(f"{path}.kind: unknown feature kind {kind!r}")
+    else:
+        raise FeatureDocError(f"{path}.kind: unknown feature kind {kind!r}")
+    if "name" in obj and obj["name"] != f.name:
+        raise FeatureDocError(f"{path}.name: stored {obj['name']!r}, derived {f.name!r}")
+    return f
 
 
 def features_to_document(features: Sequence[Feature], summary: Optional[dict] = None) -> dict:

@@ -55,6 +55,8 @@ class HarnessConfig:
                 raise ValueError(f"duplicate {name} in {values}")
         if self.generation_scope not in ("fold", "dataset"):
             raise ValueError("generation_scope must be 'fold' or 'dataset'")
+        if self.folds < 2:
+            raise ValueError("folds must be at least 2")
 
 
 @dataclass

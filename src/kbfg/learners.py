@@ -112,24 +112,30 @@ def information_gain(labels: Sequence[int], partition: Iterable[Sequence[int]]) 
     return _gain(n, sum(labels), [(len(g), sum(labels[i] for i in g)) for g in groups])
 
 
-def groups_by_value(column: Sequence[FeatureValue]) -> Dict[FeatureValue, List[int]]:
-    """The row indices holding each distinct value, values in first-seen order."""
-    groups: Dict[FeatureValue, List[int]] = {}
-    for i, v in enumerate(column):
-        groups.setdefault(v, []).append(i)
-    return groups
+def row_masks(column: Iterable[FeatureValue]) -> Dict[FeatureValue, int]:
+    """The row bitmask of each distinct value of `column` (bit i stands for
+    row i), values in first-seen order.
+
+    The one grouping of rows by value: the tree, k-NN, information gain and
+    ``deep``'s split all build their groups here, so all of them see the
+    groups in the same order.
+    """
+    masks: Dict[FeatureValue, int] = {}
+    bit = 1
+    for v in column:
+        masks[v] = masks.get(v, 0) | bit
+        bit <<= 1
+    return masks
 
 
 def column_information_gain(matrix: FeatureMatrix, j: int) -> float:
     """IG of splitting the matrix's labels by column j's values (missing included)."""
-    sizes: Dict[FeatureValue, int] = {}
-    ones: Dict[FeatureValue, int] = {}
-    for v, y in zip(matrix.column(j), matrix.labels):
-        sizes[v] = sizes.get(v, 0) + 1
-        ones[v] = ones.get(v, 0) + y
-    if not sizes:
+    masks = row_masks(matrix.column(j))
+    if not masks:
         raise ValueError("information_gain requires labels")
-    return _gain(len(matrix.labels), sum(matrix.labels), zip(sizes.values(), ones.values()))
+    positive = row_masks(matrix.labels).get(1, 0)
+    return _gain(len(matrix.labels), positive.bit_count(),
+                 [(m.bit_count(), (m & positive).bit_count()) for m in masks.values()])
 
 
 # --- decision tree ---------------------------------------------------------
@@ -220,16 +226,10 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
     cfg = cfg or TrainConfig()
     if not matrix.rows:
         raise ValueError("cannot train on an empty matrix")
-    n_features = len(matrix.rows[0])
-    positive = sum(1 << i for i, y in enumerate(matrix.labels) if y == 1)
-    columns = []                           # (j, [(value, row mask), ...]) per column
-    for j in range(n_features):
-        masks: Dict[FeatureValue, int] = {}
-        bit = 1
-        for row in matrix.rows:
-            masks[row[j]] = masks.get(row[j], 0) | bit
-            bit <<= 1
-        columns.append((j, list(masks.items())))
+    positive = row_masks(matrix.labels).get(1, 0)
+    # (j, [(value, row mask), ...]) per column
+    columns = [(j, list(row_masks(column).items()))
+               for j, column in enumerate(zip(*matrix.rows))]
 
     def build(node: int, columns, depth: int) -> TreeNode:
         n = node.bit_count()
@@ -265,7 +265,7 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
         return TreeNode(feature=best_j, children=children, fallback=fallback, n=n)
 
     root = build((1 << len(matrix.rows)) - 1, columns, 0)
-    return TreeModel(root, majority_label(matrix.labels), n_features)
+    return TreeModel(root, majority_label(matrix.labels), len(matrix.rows[0]))
 
 
 # --- k nearest neighbours ---------------------------------------------------
@@ -282,16 +282,8 @@ class KnnModel:
 
     def __post_init__(self):
         # rows shorter than the widest one read as None in the missing columns
-        self._width = max((len(r) for r in self.rows), default=0)
-        self._masks: List[Dict[FeatureValue, int]] = [{} for _ in range(self._width)]
-        self._positive = 0
-        for i, (row, y) in enumerate(zip(self.rows, self.labels)):
-            bit = 1 << i
-            for j, masks in enumerate(self._masks):
-                v = row[j] if j < len(row) else None
-                masks[v] = masks.get(v, 0) | bit
-            if y == 1:
-                self._positive |= bit
+        self._masks = [row_masks(column) for column in itertools.zip_longest(*self.rows)]
+        self._positive = row_masks(self.labels).get(1, 0)
         self._all = (1 << len(self.rows)) - 1
 
     def predict(self, row: Sequence[FeatureValue]) -> int:

@@ -98,6 +98,8 @@ INVALID_OPTIONS = [
     ("deep", ["--max-tree-depth", "0"]),
     ("eval", ["--coverage", "7"]),
     ("eval", ["--coverage", "0"]),
+    ("eval", ["--folds", "1"]),
+    ("eval", ["--folds", "0"]),
     ("expand", ["--coverage", "7"]),
     ("expand", ["--coverage", "0"]),
     ("expand", ["--coverage", "-0.5"]),
@@ -127,6 +129,18 @@ def test_invalid_options_rejected_before_reading_files(tmp_path, capsys, command
         main([command, *kb_args(tmp_path / "missing"), *flags])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--scenario", "disorder", "--desert-fraction", "2"],
+                                   ["--scenario", "random", "--n-tasks", "0"]],
+                         ids=option_id)
+def test_invalid_synth_options_rejected_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "scen"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_single_class_dataset_error_is_not_a_usage_error(scenario_dir, tmp_path):

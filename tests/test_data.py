@@ -291,6 +291,16 @@ def _delete(path):
     return _edit(path, lambda target, key: target.__delitem__(key))
 
 
+def _copy(source, target):
+    """A mutation copying the value at JSON path `source` to `target`."""
+    def mutate(doc):
+        value = doc
+        for key in source:
+            value = value[key]
+        return _set(target, value)(doc)
+    return mutate
+
+
 MODEL = ("features", 0, "model")
 MALFORMED_DOCUMENTS = {
     "not-an-object": ("tree", lambda doc: doc["features"], r"^\$: not a feature document"),
@@ -322,6 +332,12 @@ MALFORMED_DOCUMENTS = {
                          r"^\$\.features\[0\]\.model\.labels:"),
     "knn-label-not-a-label": ("knn", _set(MODEL + ("labels", 0), 2),
                               r"^\$\.features\[0\]\.model\.labels:"),
+    "name-of-another-feature": ("tree", _copy(("features", 0, "value_features", 1, "name"),
+                                              ("features", 0, "name")),
+                                r"^\$\.features\[0\]\.name: stored 'induced\[countryOf"),
+    "relation-name-not-derived": ("tree", _set(("features", 0, "value_features", 0, "name"),
+                                               "countryOf(surname)"),
+                                  r"^\$\.features\[0\]\.value_features\[0\]\.name:"),
     "linear-column-out-of-range": ("linear", _set(MODEL + ("weights", 0, 0), 2),
                                    r"^\$\.features\[0\]\.model\.weights\[0\]:"),
 }
@@ -334,6 +350,25 @@ def test_malformed_feature_document_fails_at_load_naming_the_path(case):
     assert features_from_document(doc)  # the unmutated document loads
     with pytest.raises(FeatureDocError, match=match):
         features_from_document(mutate(doc))
+
+
+def test_feature_document_without_names_loads_with_the_derived_names():
+    doc = json.loads(generated_document("tree"))
+    names = [f.name for f in features_from_document(doc)]
+
+    def strip(obj):
+        if isinstance(obj, dict):
+            if obj.get("kind") in ("relation", "classifier"):
+                del obj["name"]
+            for value in obj.values():
+                strip(value)
+        elif isinstance(obj, list):
+            for value in obj:
+                strip(value)
+
+    strip(doc)
+    assert "name" not in doc["features"][0]
+    assert [f.name for f in features_from_document(doc)] == names
 
 
 def _json_paths(obj, path=()):

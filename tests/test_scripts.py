@@ -1,6 +1,7 @@
 """Subprocess runs: the experiment scripts, which no other test imports, and
-the command line under different string-hash seeds; and the bench script's
-bookkeeping, with its benchmark runs replaced."""
+the command line under different string-hash seeds; the bench script's
+bookkeeping, with its benchmark runs replaced; and the benchmark tracer's
+patching of the kbfg bindings."""
 
 import importlib.util
 import json
@@ -81,3 +82,34 @@ def test_bench_alternates_checkouts_and_compares_with_the_first(tmp_path, monkey
     compared = doc["comparison"]["change"]
     assert compared["op_rel"]["better_in"] == 3 and compared["op_rel"]["gain_exceeds_base_iqr"]
     assert compared["setup_s"]["better_in"] == 0 and not compared["setup_s"]["worse_than_bound"]
+
+
+def kbfg_bindings():
+    """Every attribute of every kbfg module and of the classes the tracer patches."""
+    from kbfg.kb import KnowledgeBase
+    from kbfg.learners import KnnModel, LinearModel, TreeModel
+    from kbfg.recursive import GenerationStats
+
+    owners = [mod for name, mod in sys.modules.items()
+              if name == "kbfg" or name.startswith("kbfg.")]
+    owners += [KnowledgeBase, TreeModel, KnnModel, LinearModel, GenerationStats]
+    return {owner.__name__: dict(vars(owner)) for owner in owners}
+
+
+def test_tracer_patches_every_binding_and_restores_it(monkeypatch):
+    """`perfbench/run.py --trace 1` patches these bindings; a missing one fails here."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    before = kbfg_bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        during = kbfg_bindings()
+    finally:
+        t.restore()
+    for _, module, attr, required in tracer.FUNCTION_SPANS:
+        for name in {module.__name__, *required}:
+            assert during[name][attr] is not before[name][attr], (name, attr)
+    assert kbfg_bindings() == before
