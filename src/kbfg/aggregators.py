@@ -6,9 +6,11 @@ is the lexicographically smallest among the maxima, so that exactly one
 target fires per non-empty multiset and the resulting feature group forms a
 partition.
 
-``fired_targets`` gives every target that fires on one multiset, so
-``materialize`` fills all the indicator columns of one (inner feature,
-relation, family) from one lookup per token.
+``fired_targets`` gives every target that fires on one multiset.  It is
+the one test of an aggregator: evaluating one indicator feature asks
+whether its target is in that set, and ``materialize`` fills all the
+indicator columns of one (inner feature, relation, family) from one lookup
+per token and one such set per example.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ class AggregatorInstance:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown aggregator family {self.family!r}")
-
-    def apply(self, values: Iterable[str]) -> int:
-        return int(self.value in fired_targets(self.family, values))
 
     def to_json(self) -> dict:
         return {"family": self.family, "value": self.value}

@@ -1,11 +1,13 @@
 """Label-agnostic feature generation by relational expansion.
 
-For every existing feature, every relation that covers enough of its
-observed values spawns new features: function relations compose directly,
-other relations spawn one binary aggregator feature per codomain value
-actually observed through the lookups.  Restricting the enumeration to
-observed codomain values keeps the output finite on large knowledge bases
-while preserving every feature distinguishable on the training data.
+``relation_features`` is the relational step both generators share:
+function relations compose directly onto a feature, other relations spawn
+one binary aggregator feature per codomain value actually reached from the
+feature's observed values.  ``expand_features`` takes it for every existing
+feature, and the recursive generator for every derived problem.
+Restricting the enumeration to reached codomain values keeps the output
+finite on large knowledge bases while preserving every feature
+distinguishable on the training data.
 """
 
 from __future__ import annotations
@@ -27,6 +29,22 @@ def observed_values(ds: Dataset, feature: Feature, kb: KnowledgeBase) -> List[st
     return sorted(seen)
 
 
+def relation_features(f: Feature, values: Sequence[str], relations: Sequence[Relation],
+                      family: str) -> List[Feature]:
+    """The features `relations` spawn over `f`, in their order: a function
+    relation composes onto `f`, any other gives one `family` indicator per
+    target reached from `f`'s `values`, in target order."""
+    out: List[Feature] = []
+    for rel in relations:
+        if rel.is_function:
+            out.append(RelationFeature(f, rel.name))
+        else:
+            targets = set().union(*(rel.index.get(v, ()) for v in values))
+            out.extend(RelationFeature(f, rel.name, AggregatorInstance(family, target))
+                       for target in sorted(targets))
+    return out
+
+
 def expand_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
                     family: str = "any", coverage_threshold: float = 1.0) -> List[Feature]:
     """One pass of relational expansion over `features`.
@@ -44,20 +62,9 @@ def expand_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
         values = observed_values(ds, f, kb)
         if not values:
             continue
-        for rel in kb.applicable_relations(values, coverage_threshold):
-            for new in _expand_one(f, rel, values, kb, family):
-                if new.name not in seen_names:
-                    seen_names.add(new.name)
-                    generated.append(new)
+        rels = kb.applicable_relations(values, coverage_threshold)
+        for new in relation_features(f, values, rels, family):
+            if new.name not in seen_names:
+                seen_names.add(new.name)
+                generated.append(new)
     return generated
-
-
-def _expand_one(f: Feature, rel: Relation, values: List[str], kb: KnowledgeBase,
-                family: str) -> List[Feature]:
-    if rel.is_function:
-        return [RelationFeature(f, rel.name)]
-    codomain: Set[str] = set()
-    for v in values:
-        codomain.update(rel.index.get(v, ()))
-    return [RelationFeature(f, rel.name, AggregatorInstance(family, target))
-            for target in sorted(codomain)]

@@ -27,7 +27,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from kbfg.aggregators import AggregatorInstance
+from kbfg.aggregators import AggregatorInstance, fired_targets
 from kbfg.kb import KnowledgeBase
 from kbfg.values import FeatureValue, atom_or_set, iter_atoms
 
@@ -217,14 +217,12 @@ def _eval(f: Feature, assignment: Mapping[str, FeatureValue], kb: KnowledgeBase)
         inner = _eval(f.inner, assignment, kb)
         if inner is None:
             return None
-        if f.aggregator is None:
-            objects = []
-            for tok in iter_atoms(inner):
-                objects.extend(kb.lookup(f.relation, tok))
-            return atom_or_set(objects)
         # multiset semantics: multiplicities accumulate across inner tokens
-        return str(f.aggregator.apply(
-            [o for tok in iter_atoms(inner) for o in kb.lookup(f.relation, tok)]))
+        objects = [o for tok in iter_atoms(inner) for o in kb.lookup(f.relation, tok)]
+        if f.aggregator is None:
+            return atom_or_set(objects)
+        agg = f.aggregator
+        return "1" if agg.value in fired_targets(agg.family, objects) else "0"
 
     if isinstance(f, ClassifierFeature):
         inner = _eval(f.inner, assignment, kb)

@@ -3,16 +3,17 @@
 For each source feature a derived induction problem is built: its objects
 are the distinct values the feature takes on the training examples, each
 labeled with the majority label of the examples carrying that value (ties
-to 0).  Relations applicable to those values become the derived problem's
-features; below the depth limit the generator recurses on the derived
+to 0).  The derived problem's features come from relational expansion's
+own step, ``expand.relation_features``, over the relations applicable to
+those values; below the depth limit the generator recurses on the derived
 problem to extend that feature map.  A classifier trained on the derived
 problem is then composed back onto the source feature and emitted as a new
 feature for the original examples.
 
 Set-valued sources contribute every member token as an object.  Their
 objects are first split into one candidate problem per knowledge-base
-departure type covering them, and each surviving candidate emits its own
-feature.
+departure type covering them, whose features come from the applicable
+relations of that type, and each surviving candidate emits its own feature.
 
 Each (example, feature) cell is evaluated once.  The caller's features are
 materialized once, or handed in by a caller that already holds their
@@ -37,11 +38,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from kbfg.aggregators import FAMILIES
 from kbfg.data import Dataset, Example, FeatureMatrix, materialize
-from kbfg.expand import _expand_one
+from kbfg.expand import relation_features
 from kbfg.features import (
     VALUE_COLUMN,
     BaseFeature,
@@ -49,7 +50,7 @@ from kbfg.features import (
     Feature,
     evaluate_feature,
 )
-from kbfg.kb import KnowledgeBase, Relation
+from kbfg.kb import KnowledgeBase
 from kbfg.learners import LEARNER_KINDS, TrainConfig, majority_label, train_model
 from kbfg.values import FeatureValue, iter_atoms
 
@@ -128,19 +129,6 @@ def _value_labels(values_per_example: List[List[str]], labels: Sequence[int]) ->
     return {tok: majority_label(ys) for tok, ys in carried.items()}
 
 
-def _coverage(rel: Relation, values: Sequence[str]) -> float:
-    return sum(1 for v in values if v in rel.index) / len(values)
-
-
-def _candidate_features(values: List[str], relations: List[Relation], kb: KnowledgeBase,
-                        family: str) -> List[Feature]:
-    base = BaseFeature(VALUE_COLUMN)
-    out: List[Feature] = []
-    for rel in relations:
-        out.extend(_expand_one(base, rel, values, kb, family))
-    return out
-
-
 def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
                        kb: KnowledgeBase, cfg: GenerationConfig,
                        stats: Optional[GenerationStats] = None,
@@ -173,12 +161,10 @@ def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
         elif len({label_of[v] for v in values}) == 1:
             status = "single_class"
         else:
-            if ptype is None:
-                rels = kb.applicable_relations(values, cfg.coverage_threshold)
-            else:
-                rels = [r for r in kb.relations_of_departure_type(ptype)
-                        if _coverage(r, values) >= cfg.coverage_threshold]
-            feats = _candidate_features(values, rels, kb, cfg.aggregator_family)
+            rels = [r for r in kb.applicable_relations(values, cfg.coverage_threshold)
+                    if ptype in (None, r.departure_type)]
+            feats = relation_features(BaseFeature(VALUE_COLUMN), values, rels,
+                                      cfg.aggregator_family)
             if not feats:
                 status = "no_relations"
         record = CandidateRecord(f.name, level, len(values), len(ds.examples),
@@ -191,17 +177,14 @@ def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
 
 
 def _partition_by_type(values: List[str], kb: KnowledgeBase) -> List[Tuple[str, List[str]]]:
-    """Group tokens by the departure types of the relations they appear in."""
-    by_type: Dict[str, List[str]] = {}
-    for v in values:
-        types: Set[str] = set()
-        for name in kb.relations:
-            rel = kb.relations[name]
-            if v in rel.index:
-                types.add(rel.departure_type)
-        for t in types:
-            by_type.setdefault(t, []).append(v)
-    return [(t, sorted(vs)) for t, vs in sorted(by_type.items())]
+    """Per departure type, in type order, the tokens its relations cover."""
+    out = []
+    for t in sorted({rel.departure_type for rel in kb.relations.values()}):
+        rels = kb.relations_of_departure_type(t)
+        covered = [v for v in values if any(v in rel.index for rel in rels)]
+        if covered:
+            out.append((t, covered))
+    return out
 
 
 def generate_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,

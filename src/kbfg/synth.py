@@ -47,6 +47,10 @@ class ScenarioSpec:
     balanced_surname_groups: bool = False
 
     def __post_init__(self):
+        if self.n_train < 1 or self.n_test < 1:
+            raise ValueError("n_train and n_test must be >= 1")
+        if not 0 <= self.noise <= 1:
+            raise ValueError("noise must be in [0, 1]")
         if self.n_countries < 4:
             raise ValueError("need at least 4 countries")
         if not 0 < self.desert_fraction < 1:

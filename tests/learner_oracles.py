@@ -6,20 +6,31 @@ every stored row by Hamming distance for each query, and
 reads the row.  ``materialize`` evaluates every cell on its own,
 ``train_decision_tree`` groups a list of row indices by value at every
 (node, column) and scores it with the guarded ``information_gain``, and
-``create_new_problem`` labels every value before its size filter.  They are
+``create_new_problem`` labels every value before its size filter and
+carries its own copies of the helpers it used then (value labels, the
+per-type partition, the coverage test and the relational step).  They are
 the straightforward versions the library used before its lazy-shrink linear
 trainer, bitmask k-NN index, lazily evaluated model rows, per-family
-aggregator fill, bitmask tree and early size filter; the differential tests
-in ``test_learner_oracles.py`` require identical results from the library.
+aggregator fill, bitmask tree, early size filter and shared relational
+step; the differential tests in ``test_learner_oracles.py`` require
+identical results from the library.
 """
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from kbfg.data import Dataset, FeatureMatrix
-from kbfg.features import VALUE_COLUMN, ClassifierFeature, Feature, _eval, evaluate_feature
-from kbfg.kb import KnowledgeBase
+from kbfg.aggregators import AggregatorInstance
+from kbfg.data import Dataset, Example, FeatureMatrix
+from kbfg.features import (
+    VALUE_COLUMN,
+    BaseFeature,
+    ClassifierFeature,
+    Feature,
+    RelationFeature,
+    evaluate_feature,
+)
+from kbfg.kb import KnowledgeBase, Relation
 from kbfg.learners import (
     LinearModel,
     TrainConfig,
@@ -28,16 +39,7 @@ from kbfg.learners import (
     _encode,
     majority_label,
 )
-from kbfg.recursive import (
-    CandidateRecord,
-    GenerationConfig,
-    GenerationStats,
-    RecursiveProblem,
-    _candidate_features,
-    _coverage,
-    _partition_by_type,
-    _value_labels,
-)
+from kbfg.recursive import CandidateRecord, GenerationConfig, GenerationStats, RecursiveProblem
 from kbfg.values import FeatureValue, iter_atoms, value_sort_key
 
 
@@ -86,7 +88,8 @@ def knn_predict(self, row: Sequence[FeatureValue]) -> int:
 
 def predict_on_token(f: ClassifierFeature, token: str, kb: KnowledgeBase) -> int:
     """Apply the embedded model to one value token via the value-level features."""
-    row = [_eval(vf, {VALUE_COLUMN: token}, kb) for vf in f.value_features]
+    x = Example(token, 0, {VALUE_COLUMN: token})
+    row = [evaluate_feature(vf, x, kb) for vf in f.value_features]
     return f.model.predict(row)
 
 
@@ -199,6 +202,53 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
 
     root = build(list(range(len(matrix.rows))), 0)
     return TreeModel(root, majority_label(matrix.labels), n_features)
+
+
+def _value_labels(values_per_example: List[List[str]], labels: Sequence[int]) -> Dict[str, int]:
+    """Majority label of the examples carrying each token (ties to 0)."""
+    carried: Dict[str, List[int]] = {}
+    for toks, y in zip(values_per_example, labels):
+        for tok in set(toks):
+            carried.setdefault(tok, []).append(y)
+    return {tok: majority_label(ys) for tok, ys in carried.items()}
+
+
+def _coverage(rel: Relation, values: Sequence[str]) -> float:
+    return sum(1 for v in values if v in rel.index) / len(values)
+
+
+def _candidate_features(values: List[str], relations: List[Relation], kb: KnowledgeBase,
+                        family: str) -> List[Feature]:
+    base = BaseFeature(VALUE_COLUMN)
+    out: List[Feature] = []
+    for rel in relations:
+        out.extend(_expand_one(base, rel, values, kb, family))
+    return out
+
+
+def _partition_by_type(values: List[str], kb: KnowledgeBase) -> List[Tuple[str, List[str]]]:
+    """Group tokens by the departure types of the relations they appear in."""
+    by_type: Dict[str, List[str]] = {}
+    for v in values:
+        types: Set[str] = set()
+        for name in kb.relations:
+            rel = kb.relations[name]
+            if v in rel.index:
+                types.add(rel.departure_type)
+        for t in types:
+            by_type.setdefault(t, []).append(v)
+    return [(t, sorted(vs)) for t, vs in sorted(by_type.items())]
+
+
+def _expand_one(f: Feature, rel: Relation, values: List[str], kb: KnowledgeBase,
+                family: str) -> List[Feature]:
+    if rel.is_function:
+        return [RelationFeature(f, rel.name)]
+    codomain: Set[str] = set()
+    for v in values:
+        codomain.update(rel.index.get(v, ()))
+    return [RelationFeature(f, rel.name, AggregatorInstance(family, target))
+            for target in sorted(codomain)]
 
 
 def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],

@@ -132,6 +132,10 @@ def test_invalid_options_rejected_before_reading_files(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("flags", [["--scenario", "disorder", "--desert-fraction", "2"],
+                                   ["--scenario", "disorder", "--noise", "2"],
+                                   ["--scenario", "disorder", "--noise", "-1"],
+                                   ["--scenario", "disorder", "--n-train", "0"],
+                                   ["--scenario", "disorder", "--n-test", "0"],
                                    ["--scenario", "random", "--n-tasks", "0"]],
                          ids=option_id)
 def test_invalid_synth_options_rejected_before_writing(tmp_path, capsys, flags):

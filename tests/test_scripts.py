@@ -1,7 +1,8 @@
 """Subprocess runs: the experiment scripts, which no other test imports, and
 the command line under different string-hash seeds; the bench script's
-bookkeeping, with its benchmark runs replaced; and the benchmark tracer's
-patching of the kbfg bindings."""
+bookkeeping, with its benchmark runs replaced; and the benchmark tracer:
+its patching of the kbfg bindings, and one traced op of each generating
+workload."""
 
 import importlib.util
 import json
@@ -96,12 +97,20 @@ def kbfg_bindings():
     return {owner.__name__: dict(vars(owner)) for owner in owners}
 
 
-def test_tracer_patches_every_binding_and_restores_it(monkeypatch):
-    """`perfbench/run.py --trace 1` patches these bindings; a missing one fails here."""
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Imports a module of perfbench/ by name; none is left in `sys.modules` after."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    yield importlib.import_module
+    for name, mod in list(sys.modules.items()):
+        if Path(getattr(mod, "__file__", None) or "/").parent == ROOT / "perfbench":
+            del sys.modules[name]
+
+
+def test_tracer_patches_every_binding_and_restores_it(perfbench):
+    """`perfbench/run.py --trace 1` patches these bindings; a missing one fails here."""
+    tracer = perfbench("tracer")
     before = kbfg_bindings()
     t = tracer.Tracer()
     t.install()
@@ -113,3 +122,28 @@ def test_tracer_patches_every_binding_and_restores_it(monkeypatch):
         for name in {module.__name__, *required}:
             assert during[name][attr] is not before[name][attr], (name, attr)
     assert kbfg_bindings() == before
+
+
+@pytest.mark.parametrize("workload", ["cv-grid", "kb-distractors"])
+def test_traced_op_reads_every_required_figure_and_the_recorded_digests(tmp_path, perfbench,
+                                                                        workload):
+    """One default-seed op under the tracer, as `perfbench/run.py --trace 1` times it."""
+    run = perfbench("run")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--prepare",
+                           "--workload", workload, "--seed", str(run.DEFAULT_SEED),
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    wl = perfbench("workloads").WORKLOADS[workload]
+    state, refs = wl.setup(str(tmp_path)), wl.references(str(tmp_path))
+    t = perfbench("tracer").Tracer()
+    t.install()
+    try:
+        result = wl.run(state, refs, 0, run.DEFAULT_SEED)
+    finally:
+        t.restore()
+    metrics = t.metrics(1)
+    assert [name for name in run.REQUIRED[workload] if not metrics[name] > 0] == []
+    assert result.problems == []
+    assert result.digests == json.loads(run.EXPECTED_PATH.read_text())[workload]

@@ -159,7 +159,15 @@ def test_unseen_country_generalization_with_sparse_country_groups():
     assert gen_acc >= 0.95
 
 
+@pytest.mark.parametrize("field, value", [("n_train", 0), ("n_test", 0), ("noise", -0.1),
+                                          ("noise", 1.5)])
+def test_scenario_spec_rejects_empty_splits_and_noise_outside_unit_interval(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScenarioSpec(**{field: value})
+
+
 def test_scenario_spec_validation():
+    ScenarioSpec(noise=1.0)  # the noise bounds are inclusive
     with pytest.raises(ValueError):
         ScenarioSpec(n_countries=2)
     with pytest.raises(ValueError):
