@@ -52,11 +52,25 @@ def _deep_config(args) -> DeepConfig:
                       max_tree_depth=args.max_tree_depth)
 
 
-def _harness_config(args) -> HarnessConfig:
-    return HarnessConfig(methods=args.methods.split(","), learners=args.learners.split(","),
-                         folds=args.folds, seed=args.seed,
-                         generation_scope=args.generation_scope,
-                         generation=_gen_config(args))
+def _eval_config(args) -> tuple[HarnessConfig, dict[str, str]]:
+    """The harness config and each `--data` path by its dataset name.
+
+    A single dataset is named by its file, several by their directories;
+    two paths that would share a name are rejected.
+    """
+    cfg = HarnessConfig(methods=args.methods.split(","), learners=args.learners.split(","),
+                        folds=args.folds, seed=args.seed,
+                        generation_scope=args.generation_scope,
+                        generation=_gen_config(args))
+    paths: dict[str, str] = {}
+    for path in args.data:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if len(args.data) > 1:
+            name = os.path.basename(os.path.dirname(path)) or name
+        if name in paths:
+            raise ValueError(f"--data {paths[name]} and {path} both name dataset {name!r}")
+        paths[name] = path
+    return cfg, paths
 
 
 def _synth_config(args) -> ScenarioSpec | None:
@@ -135,14 +149,10 @@ def cmd_deep(args, cfg: DeepConfig) -> int:
     return 0
 
 
-def cmd_eval(args, cfg: HarnessConfig) -> int:
+def cmd_eval(args, config: tuple[HarnessConfig, dict[str, str]]) -> int:
+    cfg, paths = config
     kb = load_kb_files(args.kb_schema, args.kb_triples)
-    datasets = {}
-    for path in args.data:
-        name = os.path.splitext(os.path.basename(path))[0]
-        if len(args.data) > 1:
-            name = os.path.basename(os.path.dirname(path)) or name
-        datasets[name] = load_dataset_file(path)
+    datasets = {name: load_dataset_file(path) for name, path in paths.items()}
     result = run_experiment(datasets, kb, cfg)
     _dump(result.to_json(), args.out)
     print(result.to_text())
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generation-scope", choices=("fold", "dataset"), default="fold")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval, config=_harness_config)
+    p.set_defaults(func=cmd_eval, config=_eval_config)
 
     return parser
 

@@ -17,12 +17,19 @@ union of observed feature names, typed by their own name.
 aggregator indicators of one (inner feature, relation, family) are filled
 together, from one evaluation of the inner value and one knowledge-base
 lookup per token and example; every other cell is evaluated on its own.
+
+A ``FeatureMatrix`` also holds each column's rows grouped by value, as
+``row_masks`` gives them: ``FeatureMatrix.masks(j)`` builds them at most
+once per column, and ``materialize`` hands over those of every aggregator
+column, taken from the examples each target fires on while it fills the
+family.  The tree, information gain, ``deep``'s split and derived problems
+all read a column's groups from there.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from kbfg.aggregators import fired_targets
@@ -159,14 +166,41 @@ def save_dataset(ds: Dataset, path) -> None:
         f.write("\n".join(dataset_lines(ds)) + "\n")
 
 
+def row_masks(column: Iterable[FeatureValue]) -> Dict[FeatureValue, int]:
+    """The row bitmask of each distinct value of `column` (bit i stands for
+    row i), values in first-seen order.
+
+    The one grouping of rows by value: the tree, k-NN, information gain,
+    ``deep``'s split and derived problems all build their groups here (a
+    matrix column through ``FeatureMatrix.masks``), so all of them see the
+    groups in the same order.
+    """
+    masks: Dict[FeatureValue, int] = {}
+    bit = 1
+    for v in column:
+        masks[v] = masks.get(v, 0) | bit
+        bit <<= 1
+    return masks
+
+
 @dataclass
 class FeatureMatrix:
     rows: List[List[FeatureValue]]
     labels: List[int]
     feature_names: List[str]
+    # column index -> that column's row_masks, each built at most once
+    _masks: Dict[int, Dict[FeatureValue, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def column(self, j: int) -> List[FeatureValue]:
         return [row[j] for row in self.rows]
+
+    def masks(self, j: int) -> Dict[FeatureValue, int]:
+        """``row_masks(self.column(j))``, built on first use; read it, do not change it."""
+        masks = self._masks.get(j)
+        if masks is None:
+            masks = self._masks[j] = row_masks(row[j] for row in self.rows)
+        return masks
 
     def subset(self, indices: Sequence[int]) -> "FeatureMatrix":
         """The rows at `indices`, copied, so appending to them leaves these intact."""
@@ -174,12 +208,15 @@ class FeatureMatrix:
                              [self.labels[i] for i in indices], list(self.feature_names))
 
     def append_columns(self, other: "FeatureMatrix") -> None:
-        """Append the columns of `other`, a matrix built on the same examples."""
+        """Append the columns of `other`, a matrix built on the same examples,
+        with the masks it has built."""
         if other.labels != self.labels:
             raise ValueError("append_columns needs a matrix over the same examples")
+        width = len(self.feature_names)
         for row, more in zip(self.rows, other.rows):
             row.extend(more)
         self.feature_names += other.feature_names
+        self._masks.update((width + j, masks) for j, masks in other._masks.items())
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -192,10 +229,14 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
     family) form a family, such as the indicators one relation spawns over
     a derived problem.  A family is filled in one pass: per example its
     inner value is evaluated once (or read from its own column, when the
-    inner is also one of `features`), each of its tokens is looked up
-    once, and the set of targets that fire gives every member's cell.
-    Every other cell is evaluated on its own.  Evaluation is pure, so the
-    result is the one cell-by-cell evaluation gives, and deterministic.
+    inner is also one of `features`) and split into tokens once for all its
+    families, each token is looked up once, and the set of targets that
+    fire gives every member's cell.  The same pass ORs the example's bit
+    into the mask of each target that fires, and into a missing mask when
+    the inner value is missing, so each member's ``masks`` come without a
+    scan of its column.  Every other cell is evaluated on its own.
+    Evaluation is pure, so the result is the one cell-by-cell evaluation
+    gives, and deterministic.
     """
     if not features:
         raise ValueError("materialize requires at least one feature")
@@ -210,13 +251,36 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
             columns[j] = [evaluate_feature(f, x, kb) for x in examples]
     inner_values = {f: column for f, column in zip(features, columns)
                     if column is not None} if families else {}
+    tokens: Dict[Feature, list] = {}        # inner -> per example, None or its tokens
+    masks: Dict[int, Dict[FeatureValue, int]] = {}
     for (inner, relation, family), members in families.items():
-        if inner not in inner_values:
-            inner_values[inner] = [evaluate_feature(inner, x, kb) for x in examples]
-        fired = [None if v is None else fired_targets(
-                     family, [o for tok in iter_atoms(v) for o in kb.lookup(relation, tok)])
-                 for v in inner_values[inner]]
+        if inner not in tokens:
+            values = inner_values.get(inner)
+            if values is None:
+                values = [evaluate_feature(inner, x, kb) for x in examples]
+            tokens[inner] = [None if v is None else tuple(iter_atoms(v)) for v in values]
+        fired: list = []
+        fires: Dict[str, int] = {}          # target -> the rows it fires on
+        missing, bit = 0, 1
+        for toks in tokens[inner]:
+            if toks is None:
+                fired.append(None)
+                missing |= bit
+            else:
+                s = fired_targets(family, [o for tok in toks for o in kb.lookup(relation, tok)])
+                fired.append(s)
+                for target in s:
+                    fires[target] = fires.get(target, 0) | bit
+            bit <<= 1
+        present = (bit - 1) ^ missing
         for j, target in members:
             columns[j] = [None if s is None else "1" if target in s else "0" for s in fired]
-    return FeatureMatrix([list(row) for row in zip(*columns)], ds.labels,
-                         [f.name for f in features])
+            ones = fires.get(target, 0)
+            # the non-empty groups, in the order of their lowest row, as row_masks has them
+            groups = sorted((m & -m, v, m) for v, m in
+                            ((None, missing), ("1", ones), ("0", present ^ ones)) if m)
+            masks[j] = {v: m for _, v, m in groups}
+    matrix = FeatureMatrix([list(row) for row in zip(*columns)], ds.labels,
+                           [f.name for f in features])
+    matrix._masks.update(masks)
+    return matrix

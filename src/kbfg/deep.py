@@ -21,8 +21,9 @@ examples, hands them to the generator, and evaluates only the features it
 generates, whose columns it appends.  One information-gain pass over the
 node's matrix gives the split, the gains of the generated features and the
 best gain among the plain (not induced) features, which the report also
-averages; the split groups come from the chosen column of the same matrix,
-and each child gets a copy of its group's rows.
+averages; the split groups are the chosen column's row masks in the same
+matrix (built once per column and shared with that pass), and each child
+gets a copy of its group's rows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from kbfg.data import Dataset, FeatureMatrix, materialize
 from kbfg.features import ClassifierFeature, Feature, serialize_feature
 from kbfg.kb import KnowledgeBase
-from kbfg.learners import column_information_gain, row_masks
+from kbfg.learners import column_information_gain
 from kbfg.recursive import (
     CandidateRecord,
     GenerationConfig,
@@ -183,7 +184,7 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
 
         best = select_feature(extended, igs)
         j = next(j for j, f in enumerate(extended) if f is best)
-        masks = row_masks(matrix.column(j))
+        masks = matrix.masks(j)
         if len(masks) < 2:
             return
         for v in sorted(masks, key=value_sort_key):

@@ -10,9 +10,11 @@ label with ties resolved to 0.
   every child keeps at least ``min_leaf`` examples, which is what stops
   id-like columns from being used.  Unseen split values route to the
   fallback child, the child that held the most training examples.  Training
-  works on row bitmasks: one mask per (column, value), a node is a mask,
-  and group sizes and positive counts are bit counts, scored by the same
-  count-based gain core as ``column_information_gain``.
+  works on row bitmasks: one mask per (column, value), read from the
+  matrix (``FeatureMatrix.masks``, which ``materialize`` fills for relation
+  families and builds for any other column on first use), a node is a
+  mask, and group sizes and positive counts are bit counts, scored by the
+  same count-based gain core as ``column_information_gain``.
 * k-NN: Hamming distance over value vectors, distance ties to the lower
   stored row, vote ties to 0.  The model keeps one row bitmask per
   (column, value); a query adds up its matching masks in a bit-sliced
@@ -36,7 +38,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from kbfg.data import Dataset, FeatureMatrix, materialize
+from kbfg.data import Dataset, FeatureMatrix, materialize, row_masks
 from kbfg.features import FeatureDocError, doc_field
 from kbfg.values import FeatureValue, value_from_json, value_sort_key, value_to_json
 
@@ -112,25 +114,9 @@ def information_gain(labels: Sequence[int], partition: Iterable[Sequence[int]]) 
     return _gain(n, sum(labels), [(len(g), sum(labels[i] for i in g)) for g in groups])
 
 
-def row_masks(column: Iterable[FeatureValue]) -> Dict[FeatureValue, int]:
-    """The row bitmask of each distinct value of `column` (bit i stands for
-    row i), values in first-seen order.
-
-    The one grouping of rows by value: the tree, k-NN, information gain and
-    ``deep``'s split all build their groups here, so all of them see the
-    groups in the same order.
-    """
-    masks: Dict[FeatureValue, int] = {}
-    bit = 1
-    for v in column:
-        masks[v] = masks.get(v, 0) | bit
-        bit <<= 1
-    return masks
-
-
 def column_information_gain(matrix: FeatureMatrix, j: int) -> float:
     """IG of splitting the matrix's labels by column j's values (missing included)."""
-    masks = row_masks(matrix.column(j))
+    masks = matrix.masks(j)
     if not masks:
         raise ValueError("information_gain requires labels")
     positive = row_masks(matrix.labels).get(1, 0)
@@ -215,7 +201,8 @@ class TreeModel:
 def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> TreeModel:
     """Grow the tree over row bitmasks: bit i stands for row i.
 
-    Each (column, value) gets its row mask once.  A node is a row mask; a
+    Each (column, value) row mask is the matrix's own (``FeatureMatrix.masks``),
+    so a column's masks are built at most once per matrix.  A node is a row mask; a
     candidate split's group sizes and positive counts are bit counts of the
     node's mask and the value masks.  Groups are summed in the order of
     their lowest row, the order in which a scan of the node's rows first
@@ -228,8 +215,7 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
         raise ValueError("cannot train on an empty matrix")
     positive = row_masks(matrix.labels).get(1, 0)
     # (j, [(value, row mask), ...]) per column
-    columns = [(j, list(row_masks(column).items()))
-               for j, column in enumerate(zip(*matrix.rows))]
+    columns = [(j, list(matrix.masks(j).items())) for j in range(len(matrix.rows[0]))]
 
     def build(node: int, columns, depth: int) -> TreeNode:
         n = node.bit_count()

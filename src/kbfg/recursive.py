@@ -21,7 +21,11 @@ columns (each ``deep`` node passes the rows it received from its parent).
 Each derived problem is materialized once, before recursing: the same
 matrix gives the nested pass its source columns and, with only the columns
 of the features that pass adds evaluated and appended, is the classifier's
-training matrix.
+training matrix.  A source enters ``create_new_problem`` as its column's
+row masks (``FeatureMatrix.masks``): the distinct values are the mask
+keys, and a token's majority label comes from the union of the masks of
+the values holding it, so the tree that trains on the same matrix reads
+the same groups.
 
 A candidate with fewer than ``min_recursive_size`` objects, a single object
 class, or no applicable relations is dropped; the objects are labelled only
@@ -38,10 +42,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from kbfg.aggregators import FAMILIES
-from kbfg.data import Dataset, Example, FeatureMatrix, materialize
+from kbfg.data import Dataset, Example, FeatureMatrix, materialize, row_masks
 from kbfg.expand import relation_features
 from kbfg.features import (
     VALUE_COLUMN,
@@ -51,7 +55,7 @@ from kbfg.features import (
     evaluate_feature,
 )
 from kbfg.kb import KnowledgeBase
-from kbfg.learners import LEARNER_KINDS, TrainConfig, majority_label, train_model
+from kbfg.learners import LEARNER_KINDS, TrainConfig, train_model
 from kbfg.values import FeatureValue, iter_atoms
 
 
@@ -120,30 +124,36 @@ class GenerationStats:
         }
 
 
-def _value_labels(values_per_example: List[List[str]], labels: Sequence[int]) -> Dict[str, int]:
-    """Majority label of the examples carrying each token (ties to 0)."""
-    carried: Dict[str, List[int]] = {}
-    for toks, y in zip(values_per_example, labels):
-        for tok in set(toks):
-            carried.setdefault(tok, []).append(y)
-    return {tok: majority_label(ys) for tok, ys in carried.items()}
+def _value_labels(masks: Mapping[FeatureValue, int], labels: Sequence[int]) -> Dict[str, int]:
+    """Majority label of the examples carrying each token (ties to 0).
+
+    `masks` gives the rows carrying each value, so a token's rows are the
+    union of the masks of the values holding it.
+    """
+    carried: Dict[str, int] = {}
+    for v, m in masks.items():
+        for tok in iter_atoms(v):
+            carried[tok] = carried.get(tok, 0) | m
+    positive = row_masks(labels).get(1, 0)
+    return {tok: int((m & positive).bit_count() * 2 > m.bit_count())
+            for tok, m in carried.items()}
 
 
-def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
+def create_new_problem(f: Feature, ds: Dataset, masks: Mapping[FeatureValue, int],
                        kb: KnowledgeBase, cfg: GenerationConfig,
                        stats: Optional[GenerationStats] = None,
                        level: int = 0) -> List[RecursiveProblem]:
     """The surviving candidate problems for one source feature, possibly none.
 
-    `column` holds the values of `f` on the examples of `ds`, in order.
+    `masks` groups the examples of `ds` by the value `f` takes on them, as
+    ``row_masks`` of its column does (``FeatureMatrix.masks``).
     Atom-valued sources yield at most one problem; set-valued sources yield
     one per covering departure type.  Every candidate, surviving or not, is
     recorded in `stats` with its status.
     """
     stats = stats if stats is not None else GenerationStats()
-    distinct = set(column)
-    all_values = sorted({tok for v in distinct for tok in iter_atoms(v)})
-    if any(isinstance(v, frozenset) for v in distinct):
+    all_values = sorted({tok for v in masks for tok in iter_atoms(v)})
+    if any(isinstance(v, frozenset) for v in masks):
         candidates = _partition_by_type(all_values, kb)
     else:
         candidates = [(None, all_values)]
@@ -155,7 +165,7 @@ def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
         status = None
         feats: List[Feature] = []
         if label_of is None and len(values) >= cfg.min_recursive_size:
-            label_of = _value_labels([list(iter_atoms(v)) for v in column], ds.labels)
+            label_of = _value_labels(masks, ds.labels)
         if len(values) < cfg.min_recursive_size:
             status = "too_small"
         elif len({label_of[v] for v in values}) == 1:
@@ -221,7 +231,7 @@ def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],
     out: List[Feature] = []
     seen_names = {f.name for f in features}
     for j, f in enumerate(features):
-        for problem in create_new_problem(f, ds, matrix.column(j), kb, cfg, stats, level):
+        for problem in create_new_problem(f, ds, matrix.masks(j), kb, cfg, stats, level):
             problem_ds = problem.as_dataset()
             problem_matrix = materialize(problem_ds, problem.features, kb)
             # never returns a name in its input, so the extension is disjoint

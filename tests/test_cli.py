@@ -131,6 +131,28 @@ def test_invalid_options_rejected_before_reading_files(tmp_path, capsys, command
     assert "usage:" in capsys.readouterr().err
 
 
+def test_eval_rejects_two_datasets_of_one_name_before_reading_files(tmp_path, capsys):
+    scen = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--data", str(scen / "train.jsonl"), str(scen / "test.jsonl"),
+              *kb_args(scen)[2:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert str(scen / "train.jsonl") in err and str(scen / "test.jsonl") in err
+
+
+def test_eval_names_datasets_by_their_directories(scenario_dir, tmp_path):
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "train.jsonl").write_text((scenario_dir / "train.jsonl").read_text())
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--data", str(scenario_dir / "train.jsonl"),
+                 str(other / "train.jsonl"), *kb_args(scenario_dir)[2:], "--folds", "3",
+                 "--learners", "tree", "--methods", "baseline", "--out", str(out)]) == 0
+    assert sorted(json.loads(out.read_text())["cells"]) == ["other", "scen"]
+
+
 @pytest.mark.parametrize("flags", [["--scenario", "disorder", "--desert-fraction", "2"],
                                    ["--scenario", "disorder", "--noise", "2"],
                                    ["--scenario", "disorder", "--noise", "-1"],

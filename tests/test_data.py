@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from kbfg.data import DatasetError, dataset_lines, load_dataset, materialize
+from kbfg.data import DatasetError, dataset_lines, load_dataset, materialize, row_masks
 from kbfg.features import (
     BaseFeature,
     ClassifierFeature,
@@ -224,14 +224,28 @@ def test_materialize_deterministic_and_pure():
     assert [dict(x.assignment) for x in ds.examples] == before
 
 
+def assert_masks_match_columns(m):
+    for j in range(len(m.feature_names)):
+        assert list(m.masks(j).items()) == list(row_masks(m.column(j)).items())
+
+
 def test_matrix_subset_copies_rows_that_append_columns_extends():
     m = FeatureMatrix([["a", "x"], ["b", "y"], ["c", "z"]], [0, 1, 0], ["f0", "f1"])
+    assert m.masks(0) == {"a": 0b001, "b": 0b010, "c": 0b100}
     child = m.subset([2, 0])
-    child.append_columns(FeatureMatrix([["p"], ["q"]], [0, 0], ["g"]))
+    assert_masks_match_columns(child)
+    more = FeatureMatrix([["p"], ["q"]], [0, 0], ["g"])
+    assert more.masks(0) == {"p": 0b01, "q": 0b10}
+    z_then_x = child.masks(1)
+    child.append_columns(more)
     assert child.rows == [["c", "z", "p"], ["a", "x", "q"]]
     assert child.labels == [0, 0] and child.feature_names == ["f0", "f1", "g"]
-    # the parent's rows and names are untouched by its child's append
+    # the masks built before the append are kept, and `more`'s become column 2's
+    assert child.masks(1) is z_then_x and child.masks(2) is more.masks(0)
+    assert_masks_match_columns(child)
+    # the parent's rows, names and masks are untouched by its child's append
     assert m.rows == [["a", "x"], ["b", "y"], ["c", "z"]] and m.feature_names == ["f0", "f1"]
+    assert_masks_match_columns(m)
     with pytest.raises(ValueError):
         child.append_columns(FeatureMatrix([["p"]], [0], ["h"]))
 

@@ -22,7 +22,7 @@ import kbfg.features
 import kbfg.learners
 import learner_oracles
 from kbfg.aggregators import FAMILIES, AggregatorInstance, fired_targets
-from kbfg.data import Dataset, Example, FeatureMatrix, materialize
+from kbfg.data import Dataset, Example, FeatureMatrix, materialize, row_masks
 from kbfg.features import (
     BaseFeature,
     ClassifierFeature,
@@ -308,7 +308,12 @@ def test_fired_targets_match_the_reference_aggregators(multiset):
 
 @given(token_datasets(), feature_lists())
 def test_materialize_identical_to_reference(ds, feats):
-    assert materialize(ds, feats, GEN_KB) == learner_oracles.materialize(ds, feats, GEN_KB)
+    m = materialize(ds, feats, GEN_KB)
+    assert m == learner_oracles.materialize(ds, feats, GEN_KB)
+    # `==` does not compare the masks a family fill hands over; they must be the
+    # ones a scan of the column gives, in the same order
+    for j in range(len(feats)):
+        assert list(m.masks(j).items()) == list(row_masks(m.column(j)).items())
 
 
 def test_family_makes_one_lookup_per_row_and_token(monkeypatch, evaluations):
@@ -425,7 +430,7 @@ def test_create_new_problem_identical_to_reference(ds, min_size, family, coverag
                            coverage_threshold=coverage)
     column = [x.assignment["tok"] for x in ds.examples]
     stats, reference_stats = GenerationStats(), GenerationStats()
-    problems = create_new_problem(TOK, ds, column, GEN_KB, cfg, stats, level)
+    problems = create_new_problem(TOK, ds, row_masks(column), GEN_KB, cfg, stats, level)
     assert problems == learner_oracles.create_new_problem(TOK, ds, column, GEN_KB, cfg,
                                                           reference_stats, level)
     assert stats.records == reference_stats.records

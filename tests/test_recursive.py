@@ -1,6 +1,6 @@
 import pytest
 
-from kbfg.data import Dataset, Example, materialize
+from kbfg.data import Dataset, Example, materialize, row_masks
 from kbfg.deep import DeepConfig, deep_generate
 from kbfg.features import (
     BaseFeature,
@@ -96,7 +96,8 @@ def test_create_problem_objects_and_labels():
         Example("c", 0, {"surname": "nowak"}),
     ], [("surname", "surname")])
     cfg = GenerationConfig(min_recursive_size=2)
-    [problem] = create_new_problem(BaseFeature("surname"), ds, column(ds, "surname"), kb, cfg)
+    [problem] = create_new_problem(BaseFeature("surname"), ds,
+                                   row_masks(column(ds, "surname")), kb, cfg)
     assert problem.objects == [("haddad", 1), ("nowak", 0)]
     assert [f.name for f in problem.features] == ["countryOf(value)"]
 
@@ -110,7 +111,8 @@ def test_create_problem_label_tie_is_zero():
         Example("c", 1, {"surname": "nowak"}),
     ], [("surname", "surname")])
     cfg = GenerationConfig(min_recursive_size=2)
-    [problem] = create_new_problem(BaseFeature("surname"), ds, column(ds, "surname"), kb, cfg)
+    [problem] = create_new_problem(BaseFeature("surname"), ds,
+                                   row_masks(column(ds, "surname")), kb, cfg)
     assert dict(problem.objects)["smith"] == 0
     assert dict(problem.objects)["nowak"] == 1
 
@@ -119,7 +121,7 @@ def test_create_problem_size_filter():
     kb, surnames = climate_kb()
     ds = patients(dict(list(sorted(surnames.items()))[:3]))
     stats = GenerationStats()
-    assert create_new_problem(BaseFeature("surname"), ds, column(ds, "surname"), kb,
+    assert create_new_problem(BaseFeature("surname"), ds, row_masks(column(ds, "surname")), kb,
                               GenerationConfig(min_recursive_size=8), stats) == []
     assert [r.status for r in stats.records] == ["too_small"]
 
@@ -129,7 +131,7 @@ def test_create_problem_single_class_filter():
     only_desert = {s: c for s, c in surnames.items() if c in DESERT}
     ds = patients(only_desert)
     stats = GenerationStats()
-    assert create_new_problem(BaseFeature("surname"), ds, column(ds, "surname"), kb,
+    assert create_new_problem(BaseFeature("surname"), ds, row_masks(column(ds, "surname")), kb,
                               GenerationConfig(min_recursive_size=2), stats) == []
     assert [r.status for r in stats.records] == ["single_class"]
 
@@ -139,7 +141,7 @@ def test_create_problem_no_relations_filter():
     ds = Dataset([Example(f"g{i}", i % 2, {"gender": "f" if i % 2 else "m"})
                   for i in range(4)], [("gender", "gender")])
     stats = GenerationStats()
-    assert create_new_problem(BaseFeature("gender"), ds, column(ds, "gender"), kb,
+    assert create_new_problem(BaseFeature("gender"), ds, row_masks(column(ds, "gender")), kb,
                               GenerationConfig(min_recursive_size=2), stats) == []
     assert [r.status for r in stats.records] == ["no_relations"]
 
