@@ -3,18 +3,18 @@
 
 For each seed: build the scenario (train with seen surnames, test with
 unseen ones), train a decision tree on the base features alone and on
-base + generated features, and report test accuracies.  Optionally runs
-the full cross-validated methods x learners grid on the training split.
+base + generated features, and report test accuracies.  The
+cross-validated methods x learners grid is `kbfg eval` (see the README).
 """
 
 import argparse
 import time
 
 from kbfg.data import materialize
-from kbfg.harness import HarnessConfig, base_features, run_experiment
+from kbfg.harness import base_features
 from kbfg.learners import accuracy, train_decision_tree
 from kbfg.recursive import GenerationConfig, generate_features
-from kbfg.synth import ScenarioSpec, gen_disorder_scenario
+from kbfg.synth import VARIANTS, ScenarioSpec, gen_disorder_scenario
 
 
 def one_seed(seed: int, depth: int, variant: str):
@@ -36,10 +36,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--depth", type=int, default=2)
-    ap.add_argument("--variant", choices=("unseen-surname", "unseen-country"),
-                    default="unseen-surname")
-    ap.add_argument("--full-grid", action="store_true",
-                    help="also run the cross-validated methods x learners table")
+    ap.add_argument("--variant", choices=VARIANTS, default=ScenarioSpec.variant)
     args = ap.parse_args()
 
     t0 = time.time()
@@ -52,14 +49,6 @@ def main():
         print(f"{seed:>4} {b:>9.3f} {g:>10.3f} {n:>6}")
     print(f"mean {sum(base_accs) / len(base_accs):>8.3f} "
           f"{sum(gen_accs) / len(gen_accs):>10.3f}   ({time.time() - t0:.1f}s)")
-
-    if args.full_grid:
-        train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=0, n_train=120,
-                                                             n_test=40))
-        res = run_experiment({"screening": train}, kb,
-                             HarnessConfig(folds=5, seed=0))
-        print()
-        print(res.to_text())
 
 
 if __name__ == "__main__":

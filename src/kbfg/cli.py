@@ -15,7 +15,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
+from functools import partial
 
+from kbfg.aggregators import FAMILIES
 from kbfg.data import load_dataset_file, save_dataset
 from kbfg.deep import DeepConfig, deep_generate
 from kbfg.expand import expand_features
@@ -23,7 +26,7 @@ from kbfg.features import features_to_document
 from kbfg.harness import HarnessConfig, base_features, run_experiment
 from kbfg.kb import load_kb_files, save_kb
 from kbfg.recursive import GenerationConfig, GenerationStats, generate_features
-from kbfg.synth import ScenarioSpec, gen_disorder_scenario, gen_random_tasks
+from kbfg.synth import VARIANTS, ScenarioSpec, gen_disorder_scenario, gen_random_tasks
 
 
 def _add_kb_args(p: argparse.ArgumentParser) -> None:
@@ -33,23 +36,22 @@ def _add_kb_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_gen_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--aggregator", choices=("majority", "any"), default="any")
-    p.add_argument("--coverage", type=float, default=1.0,
+    p.add_argument("--aggregator", dest="aggregator_family", choices=FAMILIES)
+    p.add_argument("--coverage", dest="coverage_threshold", type=float,
                    help="fraction of a feature's values a relation must cover")
 
 
-def _gen_config(args) -> GenerationConfig:
-    """One constructor call, so `GenerationConfig` validates every option."""
-    given = {"depth": getattr(args, "depth", None),
-             "min_recursive_size": getattr(args, "min_size", None)}
-    return GenerationConfig(aggregator_family=args.aggregator,
-                            coverage_threshold=args.coverage,
-                            **{k: v for k, v in given.items() if v is not None})
+def _config(cls, args, **nested):
+    """`cls` built from the `nested` configs and the options given.
+
+    Options have no defaults here and are named by their field, so the
+    class owns each default and check.
+    """
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**given, **nested)
 
 
-def _deep_config(args) -> DeepConfig:
-    return DeepConfig(min_node_size=args.min_node_size, generation=_gen_config(args),
-                      max_tree_depth=args.max_tree_depth)
+_gen_config = partial(_config, GenerationConfig)
 
 
 def _eval_config(args) -> tuple[HarnessConfig, dict[str, str]]:
@@ -58,10 +60,7 @@ def _eval_config(args) -> tuple[HarnessConfig, dict[str, str]]:
     A single dataset is named by its file, several by their directories;
     two paths that would share a name are rejected.
     """
-    cfg = HarnessConfig(methods=args.methods.split(","), learners=args.learners.split(","),
-                        folds=args.folds, seed=args.seed,
-                        generation_scope=args.generation_scope,
-                        generation=_gen_config(args))
+    cfg = _config(HarnessConfig, args, generation=_gen_config(args))
     paths: dict[str, str] = {}
     for path in args.data:
         name = os.path.splitext(os.path.basename(path))[0]
@@ -73,16 +72,20 @@ def _eval_config(args) -> tuple[HarnessConfig, dict[str, str]]:
     return cfg, paths
 
 
-def _synth_config(args) -> ScenarioSpec | None:
-    """The disorder scenario's spec; for the random scenario, only its checks."""
-    if args.scenario == "random":
-        if args.n_tasks < 1:
-            raise ValueError("n_tasks must be >= 1")
-        return None
-    return ScenarioSpec(seed=args.seed, n_train=args.n_train, n_test=args.n_test,
-                        n_countries=args.n_countries, desert_fraction=args.desert_fraction,
-                        noise=args.noise, variant=args.variant,
-                        balanced_surname_groups=args.balanced)
+def _synth_config(args) -> ScenarioSpec | dict:
+    """The disorder scenario's spec, or the random scenario's arguments.
+
+    An option that the chosen scenario does not read is rejected.
+    """
+    unread = sorted(set(vars(args)) & ({"n_tasks"} if args.scenario == "disorder" else
+                                       {f.name for f in fields(ScenarioSpec)} - {"seed"}))
+    if unread:
+        raise ValueError(f"--scenario {args.scenario} does not read {', '.join(unread)}")
+    if args.scenario == "disorder":
+        return _config(ScenarioSpec, args)
+    if getattr(args, "n_tasks", 1) < 1:
+        raise ValueError("n_tasks must be >= 1")
+    return {k: getattr(args, k) for k in ("seed", "n_tasks") if hasattr(args, k)}
 
 
 def _dump(obj: dict, path: str | None) -> None:
@@ -94,9 +97,9 @@ def _dump(obj: dict, path: str | None) -> None:
         print(text)
 
 
-def cmd_synth(args, spec: ScenarioSpec | None) -> int:
+def cmd_synth(args, spec: ScenarioSpec | dict) -> int:
     os.makedirs(args.out, exist_ok=True)
-    if spec is not None:
+    if isinstance(spec, ScenarioSpec):
         train, test, kb, oracle = gen_disorder_scenario(spec)
         save_dataset(train, os.path.join(args.out, "train.jsonl"))
         save_dataset(test, os.path.join(args.out, "test.jsonl"))
@@ -105,7 +108,7 @@ def cmd_synth(args, spec: ScenarioSpec | None) -> int:
         _dump(oracle.to_json(), os.path.join(args.out, "oracle.json"))
         print(f"wrote disorder scenario to {args.out}")
     else:
-        tasks = gen_random_tasks(args.seed, args.n_tasks)
+        tasks = gen_random_tasks(**spec)
         for task in tasks:
             tdir = os.path.join(args.out, task.name)
             os.makedirs(tdir, exist_ok=True)
@@ -164,61 +167,61 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="knowledge-based feature generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="write a synthetic scenario")
-    p.add_argument("--scenario", choices=("disorder", "random"), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-train", type=int, default=300)
-    p.add_argument("--n-test", type=int, default=200)
-    p.add_argument("--n-countries", type=int, default=12)
-    p.add_argument("--desert-fraction", type=float, default=0.5)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--variant", choices=("unseen-surname", "unseen-country"),
-                   default="unseen-surname")
-    p.add_argument("--balanced", action="store_true",
-                   help="gender-balanced surname groups (masking scenario)")
-    p.add_argument("--n-tasks", type=int, default=10)
-    p.set_defaults(func=cmd_synth, config=_synth_config)
+    def command(name: str, help: str, func, config) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func, config=config)
+        return p
 
-    p = sub.add_parser("expand", help="relational expansion pass")
+    p = command("synth", "write a synthetic scenario", cmd_synth, _synth_config)
+    p.add_argument("--scenario", choices=("disorder", "random"), required=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", required=True)
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--n-countries", type=int)
+    p.add_argument("--desert-fraction", type=float)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--balanced", dest="balanced_surname_groups", action="store_true",
+                   help="gender-balanced surname groups (masking scenario)")
+    p.add_argument("--n-tasks", type=int, help="number of random tasks")
+
+    # expand runs no recursion, but its config checks the shared options
+    p = command("expand", "relational expansion pass", cmd_expand, _gen_config)
     _add_kb_args(p)
     _add_gen_args(p)
     p.add_argument("--out", default=None, help="feature document path (default stdout)")
-    # expand runs no recursion, but its config checks the shared options
-    p.set_defaults(func=cmd_expand, config=_gen_config)
 
-    p = sub.add_parser("generate", help="recursive feature generation")
+    p = command("generate", "recursive feature generation", cmd_generate, _gen_config)
     _add_kb_args(p)
     _add_gen_args(p)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--min-size", type=int, default=None,
+    p.add_argument("--depth", type=int)
+    p.add_argument("--min-size", dest="min_recursive_size", type=int,
                    help="minimum objects for a derived problem")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_generate, config=_gen_config)
 
-    p = sub.add_parser("deep", help="divide-&-conquer generation")
+    p = command("deep", "divide-&-conquer generation", cmd_deep,
+                lambda args: _config(DeepConfig, args, generation=_gen_config(args)))
     _add_kb_args(p)
     _add_gen_args(p)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--min-size", type=int, default=None)
-    p.add_argument("--min-node-size", type=int, default=10)
-    p.add_argument("--max-tree-depth", type=int, default=10)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--min-size", dest="min_recursive_size", type=int)
+    p.add_argument("--min-node-size", type=int)
+    p.add_argument("--max-tree-depth", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None, help="also write the report JSON here")
-    p.set_defaults(func=cmd_deep, config=_deep_config)
 
-    p = sub.add_parser("eval", help="compare methods x learners")
+    p = command("eval", "compare methods x learners", cmd_eval, _eval_config)
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--kb-schema", required=True)
     p.add_argument("--kb-triples", required=True)
     _add_gen_args(p)
-    p.add_argument("--methods", default="baseline,expand,recursive_d1,recursive_d2")
-    p.add_argument("--learners", default="knn,linear,tree")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--generation-scope", choices=("fold", "dataset"), default="fold")
+    p.add_argument("--methods", type=lambda text: text.split(","))
+    # the row order `kbfg eval` has always printed
+    p.add_argument("--learners", type=lambda text: text.split(","), default="knn,linear,tree")
+    p.add_argument("--folds", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval, config=_eval_config)
 
     return parser
 

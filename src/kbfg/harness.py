@@ -3,13 +3,14 @@
 For every (dataset, method, learner) cell the harness runs seeded
 stratified cross-validation with identical fold assignments across methods,
 so per-fold accuracies pair up.  Feature generation runs inside each
-training fold by default; the held-out fold neither contributes values nor
-labels to generation, which is what makes the accuracy delta an honest
+training fold, and only there: the held-out fold neither contributes values
+nor labels to generation, which is what makes the accuracy delta an honest
 estimate of the generated features' utility.  Each (method, fold) runs
 generation once and builds its train and test matrices once; all learners
-are trained and scored on those same matrices.  A ``dataset`` generation
-scope (generate once per method on the full dataset, reuse in every fold)
-exists for comparison but leaks test data into generation.
+are trained and scored on those same matrices.  The leak of generating on
+the whole dataset can still be measured outside the harness, by passing the
+features ``generate_features`` returns on the full dataset to
+``cross_validate``.
 
 Methods: ``baseline`` (no generation), ``expand`` (one relational
 expansion pass), ``recursive_d1`` / ``recursive_d2`` (recursive induction
@@ -38,7 +39,6 @@ class HarnessConfig:
     learners: Sequence[str] = LEARNER_KINDS
     folds: int = 10
     seed: int = 0
-    generation_scope: str = "fold"            # "fold" | "dataset"
     generation: GenerationConfig = field(default_factory=GenerationConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -53,8 +53,6 @@ class HarnessConfig:
             values = list(getattr(self, name))
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} in {values}")
-        if self.generation_scope not in ("fold", "dataset"):
-            raise ValueError("generation_scope must be 'fold' or 'dataset'")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
 
@@ -155,14 +153,8 @@ def run_experiment(datasets: Dict[str, Dataset], kb: KnowledgeBase,
         feats = base_features(ds)
         per_learner = cells[name] = {learner: {} for learner in cfg.learners}
         for method in cfg.methods:
-            generator = method_generator(method, cfg, kb, feats)
-            method_feats = feats
-            if generator is not None and cfg.generation_scope == "dataset":
-                # leaks held-out folds into generation
-                method_feats = feats + list(generator(ds))
-                generator = None
-            accs = cross_validate(ds, method_feats, kb, cfg.learners, cfg.folds, cfg.seed,
-                                  cfg.train, generator)
+            accs = cross_validate(ds, feats, kb, cfg.learners, cfg.folds, cfg.seed,
+                                  cfg.train, method_generator(method, cfg, kb, feats))
             for learner, fold_accs in accs.items():
                 per_learner[learner][method] = Cell(fold_accs, sum(fold_accs) / len(fold_accs))
         for per_method in per_learner.values():

@@ -32,10 +32,9 @@ class, or no applicable relations is dropped; the objects are labelled only
 once some candidate of the source has enough of them.  A candidate
 whose induced feature has the name of one already present (an input feature
 or one generated earlier in the pass) is dropped as ``duplicate``.  Every
-candidate looked at, dropped or not, is recorded once as a
-``CandidateRecord`` whose status says which filter it met; the ``generate``
-summary and the ``deep`` per-depth report are reductions over those
-records.
+candidate is recorded once, with its final status, as a ``CandidateRecord``
+(a survivor after its nested pass, once its feature is known to be new);
+the ``generate`` summary and ``deep`` per-depth report reduce those records.
 """
 
 from __future__ import annotations
@@ -87,8 +86,6 @@ class RecursiveProblem:
     objects: List[Tuple[str, int]]      # (value token, majority label), sorted by token
     features: List[Feature]             # feature map over the value column
     partition_type: Optional[str] = None
-    # the problem's entry in the generation stats, re-marked if its feature is dropped
-    record: Optional[CandidateRecord] = field(default=None, compare=False, repr=False)
 
     def as_dataset(self) -> Dataset:
         vtype = self.partition_type or VALUE_COLUMN
@@ -148,8 +145,8 @@ def create_new_problem(f: Feature, ds: Dataset, masks: Mapping[FeatureValue, int
     `masks` groups the examples of `ds` by the value `f` takes on them, as
     ``row_masks`` of its column does (``FeatureMatrix.masks``).
     Atom-valued sources yield at most one problem; set-valued sources yield
-    one per covering departure type.  Every candidate, surviving or not, is
-    recorded in `stats` with its status.
+    one per covering departure type.  Each dropped candidate is recorded in
+    `stats`; the generator records the survivors.
     """
     stats = stats if stats is not None else GenerationStats()
     all_values = sorted({tok for v in masks for tok in iter_atoms(v)})
@@ -177,12 +174,12 @@ def create_new_problem(f: Feature, ds: Dataset, masks: Mapping[FeatureValue, int
                                       cfg.aggregator_family)
             if not feats:
                 status = "no_relations"
-        record = CandidateRecord(f.name, level, len(values), len(ds.examples),
-                                 status or "generated", ptype)
-        stats.add(record)
         if status is None:
             problems.append(RecursiveProblem(
-                f.name, [(v, label_of[v]) for v in values], feats, ptype, record))
+                f.name, [(v, label_of[v]) for v in values], feats, ptype))
+        else:
+            stats.add(CandidateRecord(f.name, level, len(values), len(ds.examples),
+                                      status, ptype))
     return problems
 
 
@@ -244,9 +241,10 @@ def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],
             new = ClassifierFeature(inner=f, model=model,
                                     value_features=tuple(problem.features + added),
                                     partition_type=problem.partition_type)
-            if new.name in seen_names:
-                problem.record.status = "duplicate"
-            else:
+            status = "duplicate" if new.name in seen_names else "generated"
+            stats.add(CandidateRecord(f.name, level, len(problem.objects), len(ds.examples),
+                                      status, problem.partition_type))
+            if status == "generated":
                 seen_names.add(new.name)
                 out.append(new)
     return out

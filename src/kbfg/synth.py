@@ -28,6 +28,7 @@ from kbfg.kb import KnowledgeBase, load_kb
 
 TEMPERATURES = ("hot", "temperate", "cold")
 PRECIPITATIONS = ("low", "mid", "high")
+VARIANTS = ("unseen-surname", "unseen-country")
 # non-desert climate profiles; none is (hot, low)
 _NON_DESERT = [("hot", "high"), ("temperate", "mid"), ("cold", "high"),
                ("temperate", "low"), ("cold", "mid")]
@@ -43,7 +44,7 @@ class ScenarioSpec:
     desert_fraction: float = 0.5
     noise: float = 0.0                   # training label flip rate
     female_fraction: float = 0.75
-    variant: str = "unseen-surname"      # or "unseen-country"
+    variant: str = "unseen-surname"      # one of VARIANTS
     balanced_surname_groups: bool = False
 
     def __post_init__(self):
@@ -55,7 +56,7 @@ class ScenarioSpec:
             raise ValueError("need at least 4 countries")
         if not 0 < self.desert_fraction < 1:
             raise ValueError("desert_fraction must be in (0, 1)")
-        if self.variant not in ("unseen-surname", "unseen-country"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.balanced_surname_groups:
             if self.n_train % 4:
@@ -263,7 +264,7 @@ class SynthTask:
     oracle: RandomTaskRule
 
 
-def gen_random_tasks(seed: int, n_tasks: int, n_train: int = 120,
+def gen_random_tasks(seed: int = 0, n_tasks: int = 10, n_train: int = 120,
                      n_test: int = 60, n_groups: int = 10,
                      n_traits: int = 4) -> List[SynthTask]:
     """Tasks whose concepts require one or two KB hops from an id-like column.

@@ -1,9 +1,14 @@
+import argparse
 import json
 
 import pytest
 
-from kbfg.cli import main
+from kbfg.cli import build_parser, main
+from kbfg.deep import DeepConfig
 from kbfg.features import features_from_document
+from kbfg.harness import HarnessConfig
+from kbfg.recursive import GenerationConfig
+from kbfg.synth import ScenarioSpec
 
 
 def scenario_args(out):
@@ -79,14 +84,6 @@ def test_eval_command(scenario_dir, tmp_path, capsys):
     assert "baseline" in table and "recursive_d1" in table
 
 
-def test_eval_generation_scope_flag(scenario_dir, tmp_path):
-    out = tmp_path / "eval2.json"
-    assert main(["eval", *kb_args(scenario_dir), "--folds", "3",
-                 "--learners", "tree", "--methods", "baseline,recursive_d1",
-                 "--generation-scope", "dataset", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["methods"] == ["baseline", "recursive_d1"]
-
-
 INVALID_OPTIONS = [
     ("generate", ["--depth", "-1"]),
     ("generate", ["--min-size", "0"]),
@@ -100,6 +97,7 @@ INVALID_OPTIONS = [
     ("eval", ["--coverage", "0"]),
     ("eval", ["--folds", "1"]),
     ("eval", ["--folds", "0"]),
+    ("eval", ["--generation-scope", "dataset"]),
     ("expand", ["--coverage", "7"]),
     ("expand", ["--coverage", "0"]),
     ("expand", ["--coverage", "-0.5"]),
@@ -158,7 +156,16 @@ def test_eval_names_datasets_by_their_directories(scenario_dir, tmp_path):
                                    ["--scenario", "disorder", "--noise", "-1"],
                                    ["--scenario", "disorder", "--n-train", "0"],
                                    ["--scenario", "disorder", "--n-test", "0"],
-                                   ["--scenario", "random", "--n-tasks", "0"]],
+                                   ["--scenario", "random", "--n-tasks", "0"],
+                                   ["--scenario", "random", "--n-train", "50"],
+                                   ["--scenario", "random", "--n-test", "40"],
+                                   ["--scenario", "random", "--n-countries", "8"],
+                                   ["--scenario", "random", "--desert-fraction", "0.3"],
+                                   ["--scenario", "random", "--noise", "0.9"],
+                                   ["--scenario", "random", "--variant", "unseen-country"],
+                                   ["--scenario", "random", "--balanced"],
+                                   ["--scenario", "disorder", "--n-tasks", "3"],
+                                   ["--scenario", "disorder", "--n-tasks", "0"]],
                          ids=option_id)
 def test_invalid_synth_options_rejected_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "scen"
@@ -181,10 +188,78 @@ def test_single_class_dataset_error_is_not_a_usage_error(scenario_dir, tmp_path)
               "--methods", "baseline"])
 
 
-def test_generate_min_size_reaches_config(scenario_dir, tmp_path):
-    out = tmp_path / "features.json"
-    assert main(["generate", *kb_args(scenario_dir), "--min-size", "1000",
-                 "--out", str(out)]) == 0
-    summary = json.loads(out.read_text())["summary"]
-    assert summary["features_generated"] == 0
-    assert summary["filtered"] == {"too_small": summary["candidates_tried"]}
+KB = ["--data", "d.jsonl", "--kb-schema", "s.tsv", "--kb-triples", "t.tsv"]
+REQUIRED = {"synth": ["synth", "--scenario", "disorder", "--out", "o"],
+            "synth-random": ["synth", "--scenario", "random", "--out", "o"],
+            "expand": ["expand", *KB], "generate": ["generate", *KB],
+            "deep": ["deep", *KB], "eval": ["eval", *KB]}
+
+
+def built_config(key, flags=()):
+    """The config a command's config step builds from its options; no file is read."""
+    args = build_parser().parse_args([*REQUIRED[key], *flags])
+    cfg = args.config(args)
+    return cfg[0] if args.command == "eval" else cfg
+
+
+CLASS_DEFAULTS = {"expand": GenerationConfig(), "generate": GenerationConfig(),
+                  "deep": DeepConfig(), "eval": HarnessConfig(learners=["knn", "linear", "tree"]),
+                  "synth": ScenarioSpec(),
+                  "synth-random": {}}  # `gen_random_tasks` keeps its own defaults
+
+
+@pytest.mark.parametrize("key", CLASS_DEFAULTS)
+def test_required_options_alone_build_the_class_defaults(key):
+    assert built_config(key) == CLASS_DEFAULTS[key]
+
+
+GEN_OPTIONS = [("--aggregator", "majority", "aggregator_family", "majority"),
+               ("--coverage", "0.5", "coverage_threshold", 0.5)]
+# (command, option, value given, field it sets, value the field holds)
+OPTION_FIELDS = [
+    ("synth", "--seed", "3", "seed", 3),
+    ("synth", "--n-train", "80", "n_train", 80),
+    ("synth", "--n-test", "40", "n_test", 40),
+    ("synth", "--n-countries", "8", "n_countries", 8),
+    ("synth", "--desert-fraction", "0.25", "desert_fraction", 0.25),
+    ("synth", "--noise", "0.1", "noise", 0.1),
+    ("synth", "--variant", "unseen-country", "variant", "unseen-country"),
+    ("synth", "--balanced", None, "balanced_surname_groups", True),
+    ("synth-random", "--seed", "3", "seed", 3),
+    ("synth-random", "--n-tasks", "2", "n_tasks", 2),
+    *[("expand", *o) for o in GEN_OPTIONS],
+    *[("generate", *o) for o in GEN_OPTIONS],
+    ("generate", "--depth", "1", "depth", 1),
+    ("generate", "--min-size", "3", "min_recursive_size", 3),
+    *[("deep", flag, v, f"generation.{name}", want) for flag, v, name, want in GEN_OPTIONS],
+    ("deep", "--depth", "1", "generation.depth", 1),
+    ("deep", "--min-size", "3", "generation.min_recursive_size", 3),
+    ("deep", "--min-node-size", "4", "min_node_size", 4),
+    ("deep", "--max-tree-depth", "3", "max_tree_depth", 3),
+    *[("eval", flag, v, f"generation.{name}", want) for flag, v, name, want in GEN_OPTIONS],
+    ("eval", "--methods", "baseline,expand", "methods", ["baseline", "expand"]),
+    ("eval", "--learners", "tree", "learners", ["tree"]),
+    ("eval", "--folds", "3", "folds", 3),
+    ("eval", "--seed", "7", "seed", 7),
+]
+
+
+@pytest.mark.parametrize("key, flag, value, path, want", OPTION_FIELDS,
+                         ids=[option_id([k, f] + [v] * (v is not None))
+                              for k, f, v, *_ in OPTION_FIELDS])
+def test_option_reaches_its_field(key, flag, value, path, want):
+    """A `dest` that names no field would leave the field at its default."""
+    cfg = built_config(key, [flag] if value is None else [flag, value])
+    for name in path.split("."):
+        cfg = cfg[name] if isinstance(cfg, dict) else getattr(cfg, name)
+    assert cfg == want
+
+
+def test_every_config_option_has_a_field_case():
+    inputs = {"-h", "--data", "--kb-schema", "--kb-triples", "--out", "--report", "--scenario"}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, p in subparsers.choices.items():
+        flags = {a.option_strings[0] for a in p._actions} - inputs
+        assert flags == {flag for key, flag, *_ in OPTION_FIELDS
+                         if key.split("-")[0] == command}, command

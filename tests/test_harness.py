@@ -52,12 +52,8 @@ def per_learner_experiment(ds, kb, cfg):
     for learner in cfg.learners:
         per_method = {}
         for method in cfg.methods:
-            generator = method_generator(method, cfg, kb, feats)
-            if generator is not None and cfg.generation_scope == "dataset":
-                pre = generator(ds)
-                generator = lambda _train, _pre=pre: _pre
-            accs = cross_validate(ds, feats, kb, [learner], cfg.folds, cfg.seed,
-                                  cfg.train, generator)[learner]
+            accs = cross_validate(ds, feats, kb, [learner], cfg.folds, cfg.seed, cfg.train,
+                                  method_generator(method, cfg, kb, feats))[learner]
             per_method[method] = Cell(accs, sum(accs) / len(accs))
         for method, cell in per_method.items():
             if method != "baseline":
@@ -67,11 +63,9 @@ def per_learner_experiment(ds, kb, cfg):
     return ExperimentResult({"d": cells}, list(cfg.methods), list(cfg.learners))
 
 
-@pytest.mark.parametrize("scope", ["fold", "dataset"])
-def test_shared_fold_loop_matches_per_learner_runs(scope):
+def test_shared_fold_loop_matches_per_learner_runs():
     train, _, kb, _ = small_scenario()
-    cfg = HarnessConfig(methods=METHODS, learners=LEARNER_KINDS, folds=3, seed=4,
-                        generation_scope=scope)
+    cfg = HarnessConfig(methods=METHODS, learners=LEARNER_KINDS, folds=3, seed=4)
     got = run_experiment({"d": train}, kb, cfg).to_json()
     want = per_learner_experiment(train, kb, cfg).to_json()
     assert json.dumps(got) == json.dumps(want)

@@ -26,7 +26,8 @@ def test_script_runs(script):
 
 
 def run_cli(out, hash_seed):
-    """`synth`, then `generate`, `deep` and `eval` on it; every file written, by name."""
+    """Both `synth` scenarios, then `expand`, `generate`, `deep` and `eval` on the
+    disorder one; every file written, by name."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
     scen = out / "scen"
     kb = ["--data", str(scen / "train.jsonl"), "--kb-schema", str(scen / "kb_schema.tsv"),
@@ -34,6 +35,8 @@ def run_cli(out, hash_seed):
     for args in (["synth", "--scenario", "disorder", "--seed", "1",
                   "--n-train", "80", "--n-test", "40", "--n-countries", "8",
                   "--out", str(scen)],
+                 ["synth", "--scenario", "random", "--n-tasks", "2", "--out", str(out / "rnd")],
+                 ["expand", *kb, "--out", str(out / "expand.json")],
                  ["generate", *kb, "--out", str(out / "generate.json")],
                  ["deep", *kb, "--min-node-size", "5", "--out", str(out / "deep.json"),
                   "--report", str(out / "report.json")],
@@ -47,8 +50,8 @@ def run_cli(out, hash_seed):
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     runs = [run_cli(tmp_path / str(seed), seed) for seed in (0, 1, 2)]
-    assert len(runs[0]) == 9
-    for doc in ("generate.json", "deep.json"):
+    assert len(runs[0]) == 20
+    for doc in ("expand.json", "generate.json", "deep.json"):
         assert json.loads(runs[0][doc])["features"]
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -122,6 +125,26 @@ def test_tracer_patches_every_binding_and_restores_it(perfbench):
         for name in {module.__name__, *required}:
             assert during[name][attr] is not before[name][attr], (name, attr)
     assert kbfg_bindings() == before
+
+
+def test_tracer_counts_a_duplicate_candidate_as_filtered(perfbench):
+    """The tracer reads a record's status when it is added, so each status is final."""
+    from test_deep import three_column_context
+
+    from kbfg.deep import DeepConfig, deep_generate
+    from kbfg.recursive import GenerationConfig
+
+    ds, feats, kb = three_column_context()
+    cfg = DeepConfig(min_node_size=4,
+                     generation=GenerationConfig(depth=1, min_recursive_size=4))
+    t = perfbench("tracer").Tracer()
+    t.install()
+    try:
+        deep_feats, report = deep_generate(ds, feats, kb, cfg)
+    finally:
+        t.restore()
+    assert len(deep_feats) == 1 and t.counts["recursive.candidate.duplicate"] == 1
+    assert t.metrics(1)["recursive.candidates_generated"] == 1
 
 
 @pytest.mark.parametrize("workload", ["cv-grid", "kb-distractors"])
