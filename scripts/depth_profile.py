@@ -25,6 +25,8 @@ def main():
     ap.add_argument("--n-surnames", type=int, default=None,
                     help="use grouped surnames instead of the masking scenario")
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error("--seeds must be at least 1")
 
     sums = defaultdict(lambda: defaultdict(float))
     lists = defaultdict(lambda: defaultdict(list))

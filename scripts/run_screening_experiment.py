@@ -38,6 +38,8 @@ def main():
     ap.add_argument("--depth", type=int, default=2)
     ap.add_argument("--variant", choices=VARIANTS, default=ScenarioSpec.variant)
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error("--seeds must be at least 1")
 
     t0 = time.time()
     print(f"{'seed':>4} {'baseline':>9} {'generated':>10} {'n_new':>6}")

@@ -98,34 +98,26 @@ def _dump(obj: dict, path: str | None) -> None:
 
 
 def cmd_synth(args, spec: ScenarioSpec | dict) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    if isinstance(spec, ScenarioSpec):
-        train, test, kb, oracle = gen_disorder_scenario(spec)
-        save_dataset(train, os.path.join(args.out, "train.jsonl"))
-        save_dataset(test, os.path.join(args.out, "test.jsonl"))
-        save_kb(kb, os.path.join(args.out, "kb_schema.tsv"),
-                os.path.join(args.out, "kb_triples.tsv"))
-        _dump(oracle.to_json(), os.path.join(args.out, "oracle.json"))
-        print(f"wrote disorder scenario to {args.out}")
+    if isinstance(spec, ScenarioSpec):  # written to --out itself
+        scenarios = {"": gen_disorder_scenario(spec)}
     else:
-        tasks = gen_random_tasks(**spec)
-        for task in tasks:
-            tdir = os.path.join(args.out, task.name)
-            os.makedirs(tdir, exist_ok=True)
-            save_dataset(task.train, os.path.join(tdir, "train.jsonl"))
-            save_dataset(task.test, os.path.join(tdir, "test.jsonl"))
-            save_kb(task.kb, os.path.join(tdir, "kb_schema.tsv"),
-                    os.path.join(tdir, "kb_triples.tsv"))
-            _dump(task.oracle.to_json(), os.path.join(tdir, "oracle.json"))
-        print(f"wrote {len(tasks)} tasks to {args.out}")
+        scenarios = {t.name: (t.train, t.test, t.kb, t.oracle) for t in gen_random_tasks(**spec)}
+    for name, (train, test, kb, oracle) in scenarios.items():
+        out = os.path.join(args.out, name)
+        os.makedirs(out, exist_ok=True)
+        save_dataset(train, os.path.join(out, "train.jsonl"))
+        save_dataset(test, os.path.join(out, "test.jsonl"))
+        save_kb(kb, os.path.join(out, "kb_schema.tsv"), os.path.join(out, "kb_triples.tsv"))
+        _dump(oracle.to_json(), os.path.join(out, "oracle.json"))
+    print(f"wrote disorder scenario to {args.out}" if isinstance(spec, ScenarioSpec)
+          else f"wrote {len(scenarios)} tasks to {args.out}")
     return 0
 
 
 def cmd_expand(args, cfg: GenerationConfig) -> int:
     ds = load_dataset_file(args.data)
     kb = load_kb_files(args.kb_schema, args.kb_triples)
-    feats = expand_features(ds, base_features(ds), kb, cfg.aggregator_family,
-                            cfg.coverage_threshold)
+    feats = expand_features(ds, base_features(ds), kb, cfg)
     _dump(features_to_document(feats, {"generated": len(feats)}), args.out)
     print(f"expanded {len(ds.feature_names)} features into {len(feats)}", file=sys.stderr)
     return 0
@@ -156,7 +148,11 @@ def cmd_eval(args, config: tuple[HarnessConfig, dict[str, str]]) -> int:
     cfg, paths = config
     kb = load_kb_files(args.kb_schema, args.kb_triples)
     datasets = {name: load_dataset_file(path) for name, path in paths.items()}
-    result = run_experiment(datasets, kb, cfg)
+    try:
+        result = run_experiment(datasets, kb, cfg)  # checks every dataset first
+    except ValueError as e:
+        print(f"kbfg eval: error: {e}", file=sys.stderr)
+        return 2
     _dump(result.to_json(), args.out)
     print(result.to_text())
     return 0
@@ -186,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gender-balanced surname groups (masking scenario)")
     p.add_argument("--n-tasks", type=int, help="number of random tasks")
 
-    # expand runs no recursion, but its config checks the shared options
+    # expand reads only the coverage and aggregator of its config
     p = command("expand", "relational expansion pass", cmd_expand, _gen_config)
     _add_kb_args(p)
     _add_gen_args(p)
@@ -217,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb-triples", required=True)
     _add_gen_args(p)
     p.add_argument("--methods", type=lambda text: text.split(","))
-    # the row order `kbfg eval` has always printed
-    p.add_argument("--learners", type=lambda text: text.split(","), default="knn,linear,tree")
+    p.add_argument("--learners", type=lambda text: text.split(","))
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)

@@ -4,7 +4,8 @@
 function relations compose directly onto a feature, other relations spawn
 one binary aggregator feature per codomain value actually reached from the
 feature's observed values.  ``expand_features`` takes it for every existing
-feature, and the recursive generator for every derived problem.
+feature, and the recursive generator for every derived problem, with the
+coverage threshold and aggregator family of one ``GenerationConfig``.
 Restricting the enumeration to reached codomain values keeps the output
 finite on large knowledge bases while preserving every feature
 distinguishable on the training data.
@@ -12,13 +13,16 @@ distinguishable on the training data.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import TYPE_CHECKING, List, Sequence, Set
 
-from kbfg.aggregators import FAMILIES, AggregatorInstance
+from kbfg.aggregators import AggregatorInstance
 from kbfg.data import Dataset
 from kbfg.features import Feature, RelationFeature, evaluate_feature
 from kbfg.kb import KnowledgeBase, Relation
 from kbfg.values import iter_atoms
+
+if TYPE_CHECKING:  # recursive imports this module
+    from kbfg.recursive import GenerationConfig
 
 
 def observed_values(ds: Dataset, feature: Feature, kb: KnowledgeBase) -> List[str]:
@@ -46,24 +50,20 @@ def relation_features(f: Feature, values: Sequence[str], relations: Sequence[Rel
 
 
 def expand_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
-                    family: str = "any", coverage_threshold: float = 1.0) -> List[Feature]:
+                    cfg: GenerationConfig) -> List[Feature]:
     """One pass of relational expansion over `features`.
 
     Output order is deterministic: input feature order, then relation name,
     then codomain value.  Duplicate generated names are emitted once.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown aggregator family {family!r}")
-    if not 0 < coverage_threshold <= 1:
-        raise ValueError("coverage_threshold must be in (0, 1]")
     generated: List[Feature] = []
     seen_names: Set[str] = set()
     for f in features:
         values = observed_values(ds, f, kb)
         if not values:
             continue
-        rels = kb.applicable_relations(values, coverage_threshold)
-        for new in relation_features(f, values, rels, family):
+        rels = kb.applicable_relations(values, cfg.coverage_threshold)
+        for new in relation_features(f, values, rels, cfg.aggregator_family):
             if new.name not in seen_names:
                 seen_names.add(new.name)
                 generated.append(new)

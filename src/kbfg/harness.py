@@ -10,7 +10,8 @@ generation once and builds its train and test matrices once; all learners
 are trained and scored on those same matrices.  The leak of generating on
 the whole dataset can still be measured outside the harness, by passing the
 features ``generate_features`` returns on the full dataset to
-``cross_validate``.
+``cross_validate``.  Every dataset is checked before any fold runs, and
+learners train with their own defaults.
 
 Methods: ``baseline`` (no generation), ``expand`` (one relational
 expansion pass), ``recursive_d1`` / ``recursive_d2`` (recursive induction
@@ -26,7 +27,7 @@ from kbfg.data import Dataset
 from kbfg.expand import expand_features
 from kbfg.features import BaseFeature, Feature
 from kbfg.kb import KnowledgeBase
-from kbfg.learners import LEARNER_KINDS, TrainConfig, cross_validate
+from kbfg.learners import LEARNER_KINDS, cross_validate, stratified_folds
 from kbfg.recursive import GenerationConfig, generate_features
 from kbfg.stats import FriedmanResult, TTestResult, friedman_test, paired_t_test
 
@@ -36,11 +37,10 @@ METHODS = ("baseline", "expand", "recursive_d1", "recursive_d2")
 @dataclass
 class HarnessConfig:
     methods: Sequence[str] = METHODS
-    learners: Sequence[str] = LEARNER_KINDS
+    learners: Sequence[str] = ("knn", "linear", "tree")  # the table's row order
     folds: int = 10
     seed: int = 0
     generation: GenerationConfig = field(default_factory=GenerationConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         for m in self.methods:
@@ -133,8 +133,7 @@ def method_generator(method: str, cfg: HarnessConfig, kb: KnowledgeBase,
     if method == "baseline":
         return None
     if method == "expand":
-        return lambda train_ds: expand_features(
-            train_ds, features, kb, gen.aggregator_family, gen.coverage_threshold)
+        return lambda train_ds: expand_features(train_ds, features, kb, gen)
     if method in ("recursive_d1", "recursive_d2"):
         d = 1 if method == "recursive_d1" else 2
         return lambda train_ds: generate_features(train_ds, features, kb,
@@ -144,17 +143,24 @@ def method_generator(method: str, cfg: HarnessConfig, kb: KnowledgeBase,
 
 def run_experiment(datasets: Dict[str, Dataset], kb: KnowledgeBase,
                    cfg: Optional[HarnessConfig] = None) -> ExperimentResult:
-    """Cross-validated accuracies for every (dataset, learner, method) cell."""
+    """Cross-validated accuracies for every (dataset, learner, method) cell.
+
+    A dataset that cannot be cross-validated raises before any fold runs."""
     cfg = cfg or HarnessConfig()
+    for name, ds in datasets.items():
+        try:
+            if len(set(ds.labels)) < 2:
+                raise ValueError("it has a single class")
+            stratified_folds(ds.labels, cfg.folds, cfg.seed)
+        except ValueError as e:
+            raise ValueError(f"dataset {name!r}: {e}") from None
     cells: Dict[str, Dict[str, Dict[str, Cell]]] = {}
     for name, ds in datasets.items():
-        if len(set(ds.labels)) < 2:
-            raise ValueError(f"dataset {name!r} has a single class")
         feats = base_features(ds)
         per_learner = cells[name] = {learner: {} for learner in cfg.learners}
         for method in cfg.methods:
             accs = cross_validate(ds, feats, kb, cfg.learners, cfg.folds, cfg.seed,
-                                  cfg.train, method_generator(method, cfg, kb, feats))
+                                  method_generator(method, cfg, kb, feats))
             for learner, fold_accs in accs.items():
                 per_learner[learner][method] = Cell(fold_accs, sum(fold_accs) / len(fold_accs))
         for per_method in per_learner.values():
@@ -172,12 +178,11 @@ def run_experiment(datasets: Dict[str, Dataset], kb: KnowledgeBase,
     return result
 
 
-def maa(ds: Dataset, kb: KnowledgeBase, folds: int = 10, seed: int = 0,
-        train_cfg: Optional[TrainConfig] = None) -> float:
+def maa(ds: Dataset, kb: KnowledgeBase, folds: int = 10, seed: int = 0) -> float:
     """Maximal cross-validated baseline accuracy over the three learners.
 
     A proxy for task difficulty: low values mean no learner does well on
     the original features alone.
     """
-    accs = cross_validate(ds, base_features(ds), kb, LEARNER_KINDS, folds, seed, train_cfg)
+    accs = cross_validate(ds, base_features(ds), kb, LEARNER_KINDS, folds, seed)
     return max(sum(a) / len(a) for a in accs.values())

@@ -469,13 +469,13 @@ def model_from_json(obj: dict, n_features: int, path: str = "$"):
                        doc_field(obj, "constant", path, bool))
 
 
-def train_model(kind: str, matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None):
+def train_model(kind: str, matrix: FeatureMatrix):
     if kind == "tree":
-        return train_decision_tree(matrix, cfg)
+        return train_decision_tree(matrix)
     if kind == "knn":
-        return train_knn(matrix, cfg)
+        return train_knn(matrix)
     if kind == "linear":
-        return train_linear(matrix, cfg)
+        return train_linear(matrix)
     raise ValueError(f"unknown learner kind {kind!r}")
 
 
@@ -512,9 +512,8 @@ def accuracy(model, matrix: FeatureMatrix) -> float:
     return hits / len(matrix.rows)
 
 
-def cross_validate(ds: Dataset, features, kb, learner_kinds: Sequence[str],
-                   folds: int = 10, seed: int = 0, train_cfg: Optional[TrainConfig] = None,
-                   feature_generator=None) -> Dict[str, List[float]]:
+def cross_validate(ds: Dataset, features, kb, learner_kinds: Sequence[str], folds: int = 10,
+                   seed: int = 0, feature_generator=None) -> Dict[str, List[float]]:
     """Per-fold accuracies of each learner under seeded stratified cross-validation.
 
     Returns ``{kind: fold_accuracies}`` in the order of `learner_kinds`.
@@ -537,6 +536,6 @@ def cross_validate(ds: Dataset, features, kb, learner_kinds: Sequence[str],
         train_matrix = materialize(train_ds, feats, kb)
         test_matrix = materialize(ds.subset(test_idx), feats, kb)
         for kind in learner_kinds:
-            model = train_model(kind, train_matrix, train_cfg)
+            model = train_model(kind, train_matrix)
             accs[kind].append(accuracy(model, test_matrix))
     return accs

@@ -54,7 +54,7 @@ from kbfg.features import (
     evaluate_feature,
 )
 from kbfg.kb import KnowledgeBase
-from kbfg.learners import LEARNER_KINDS, TrainConfig, train_model
+from kbfg.learners import LEARNER_KINDS, train_model
 from kbfg.values import FeatureValue, iter_atoms
 
 
@@ -65,7 +65,6 @@ class GenerationConfig:
     coverage_threshold: float = 1.0
     aggregator_family: str = "any"
     learner_kind: str = "tree"
-    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.depth < 0:
@@ -236,7 +235,7 @@ def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],
                               depth - 1, stats, level + 1) if depth > 0 else []
             if added:
                 problem_matrix.append_columns(materialize(problem_ds, added, kb))
-            model = train_model(cfg.learner_kind, problem_matrix, cfg.train)
+            model = train_model(cfg.learner_kind, problem_matrix)
             del problem_matrix  # freed before the next problem builds its own
             new = ClassifierFeature(inner=f, model=model,
                                     value_features=tuple(problem.features + added),

@@ -14,13 +14,13 @@ expectation.  The rng only shuffles which token gets which role.
 
 ``gen_random_tasks`` produces small two-hop relation graphs with 1- or
 2-hop target concepts, a desk-scale stand-in for a large dataset
-collection.
+collection; only the seed and the number of tasks vary, the sizes are fixed.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from kbfg.data import Dataset, Example
@@ -43,9 +43,9 @@ class ScenarioSpec:
     n_countries: int = 12
     desert_fraction: float = 0.5
     noise: float = 0.0                   # training label flip rate
-    female_fraction: float = 0.75
     variant: str = "unseen-surname"      # one of VARIANTS
     balanced_surname_groups: bool = False
+    female_fraction: float = field(init=False)  # 0.5 if balanced, else 0.75
 
     def __post_init__(self):
         if self.n_train < 1 or self.n_test < 1:
@@ -59,11 +59,13 @@ class ScenarioSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.balanced_surname_groups:
+            if self.n_surnames is not None:
+                raise ValueError("balanced surname groups fix n_surnames to n_train // 4")
             if self.n_train % 4:
                 raise ValueError("balanced surname groups need n_train divisible by 4")
-            self.n_surnames = self.n_train // 4
-            self.female_fraction = 0.5
-        if self.n_surnames is not None and self.n_surnames < 16:
+        self.female_fraction = 0.5 if self.balanced_surname_groups else 0.75
+        surnames = self.n_train // 4 if self.balanced_surname_groups else self.n_surnames
+        if surnames is not None and surnames < 16:
             raise ValueError("need at least 16 training surnames")
 
 
@@ -264,15 +266,15 @@ class SynthTask:
     oracle: RandomTaskRule
 
 
-def gen_random_tasks(seed: int = 0, n_tasks: int = 10, n_train: int = 120,
-                     n_test: int = 60, n_groups: int = 10,
-                     n_traits: int = 4) -> List[SynthTask]:
+def gen_random_tasks(seed: int = 0, n_tasks: int = 10) -> List[SynthTask]:
     """Tasks whose concepts require one or two KB hops from an id-like column.
 
     Every item is unique to its example (test items unseen in training), so
     the base features alone cannot express the concept; the group and trait
-    layers are shared, which is what the generated features exploit.
+    layers are shared, which is what the generated features exploit.  The
+    sizes are fixed: 120 training and 60 test rows, 10 groups, 4 traits.
     """
+    n_groups, n_traits = 10, 4
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     tasks = []
@@ -307,8 +309,8 @@ def gen_random_tasks(seed: int = 0, n_tasks: int = 10, n_train: int = 120,
                                    {"item": item, "shade": f"sh{rng.randrange(4)}"}))
             return out
 
-        train_examples = make_split("x", n_train, "tr")
-        test_examples = make_split("y", n_test, "te")
+        train_examples = make_split("x", 120, "tr")
+        test_examples = make_split("y", 60, "te")
         kb = load_kb(triples, schema)
         ds_schema = [("item", "item"), ("shade", "shade")]
         tasks.append(SynthTask(

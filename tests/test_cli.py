@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from kbfg.features import features_from_document
 from kbfg.harness import HarnessConfig
 from kbfg.recursive import GenerationConfig
 from kbfg.synth import ScenarioSpec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def scenario_args(out):
@@ -176,16 +180,34 @@ def test_invalid_synth_options_rejected_before_writing(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_single_class_dataset_error_is_not_a_usage_error(scenario_dir, tmp_path):
+def test_single_class_dataset_error_is_not_a_usage_error(scenario_dir, tmp_path, capsys):
     train = scenario_dir / "train.jsonl"
     lines = train.read_text().splitlines()
     one_class = [json.loads(line) for line in lines[1:]]
     for rec in one_class:
         rec["label"] = 0
     train.write_text("\n".join([lines[0]] + [json.dumps(r) for r in one_class]) + "\n")
-    with pytest.raises(ValueError, match="single class"):
-        main(["eval", *kb_args(scenario_dir), "--folds", "3", "--learners", "tree",
-              "--methods", "baseline"])
+    out = tmp_path / "eval.json"
+    assert main(["eval", *kb_args(scenario_dir), "--folds", "3", "--learners", "tree",
+                 "--methods", "baseline", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "dataset 'train'" in err and "single class" in err and "usage:" not in err
+    assert not out.exists()
+
+
+def test_eval_checks_every_dataset_before_any_fold_runs(scenario_dir, tmp_path, capsys):
+    small = tmp_path / "small"
+    small.mkdir()
+    lines = (scenario_dir / "train.jsonl").read_text().splitlines()
+    (small / "train.jsonl").write_text("\n".join(lines[:4]) + "\n")  # 3 examples
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--data", str(scenario_dir / "train.jsonl"),
+                 str(small / "train.jsonl"), *kb_args(scenario_dir)[2:], "--folds", "4",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "dataset 'small'" in captured.err and "4 folds" in captured.err
+    assert "usage:" not in captured.err and not captured.out
+    assert not out.exists()
 
 
 KB = ["--data", "d.jsonl", "--kb-schema", "s.tsv", "--kb-triples", "t.tsv"]
@@ -203,7 +225,7 @@ def built_config(key, flags=()):
 
 
 CLASS_DEFAULTS = {"expand": GenerationConfig(), "generate": GenerationConfig(),
-                  "deep": DeepConfig(), "eval": HarnessConfig(learners=["knn", "linear", "tree"]),
+                  "deep": DeepConfig(), "eval": HarnessConfig(),
                   "synth": ScenarioSpec(),
                   "synth-random": {}}  # `gen_random_tasks` keeps its own defaults
 
@@ -263,3 +285,22 @@ def test_every_config_option_has_a_field_case():
         flags = {a.option_strings[0] for a in p._actions} - inputs
         assert flags == {flag for key, flag, *_ in OPTION_FIELDS
                          if key.split("-")[0] == command}, command
+
+
+# init fields that no `kbfg` option sets, with a file that sets them
+UNREACHED_FIELDS = {"learner_kind": "tests/test_data.py",
+                    "n_surnames": "scripts/depth_profile.py"}
+# each config class, with the commands that build it from their own options
+CONFIG_COMMANDS = {GenerationConfig: ("expand", "generate"), DeepConfig: ("deep",),
+                   HarnessConfig: ("eval",), ScenarioSpec: ("synth",)}
+
+
+@pytest.mark.parametrize("cls", CONFIG_COMMANDS, ids=lambda cls: cls.__name__)
+def test_every_config_field_has_a_caller(cls):
+    """A field that no option and no listed caller sets is a value nobody chooses."""
+    reached = {path.split(".")[0] for key, _, _, path, _ in OPTION_FIELDS
+               if key in CONFIG_COMMANDS[cls]}
+    unreached = {f.name for f in dataclasses.fields(cls) if f.init} - reached
+    assert unreached <= set(UNREACHED_FIELDS)
+    for name in unreached:
+        assert f"{name}=" in (ROOT / UNREACHED_FIELDS[name]).read_text()

@@ -52,7 +52,7 @@ def per_learner_experiment(ds, kb, cfg):
     for learner in cfg.learners:
         per_method = {}
         for method in cfg.methods:
-            accs = cross_validate(ds, feats, kb, [learner], cfg.folds, cfg.seed, cfg.train,
+            accs = cross_validate(ds, feats, kb, [learner], cfg.folds, cfg.seed,
                                   method_generator(method, cfg, kb, feats))[learner]
             per_method[method] = Cell(accs, sum(accs) / len(accs))
         for method, cell in per_method.items():
@@ -104,6 +104,34 @@ def test_single_class_dataset_rejected():
     ds = Dataset(examples, [("col", "col")])
     with pytest.raises(ValueError, match="single class"):
         run_experiment({"d": ds}, EMPTY_KB, HarnessConfig(folds=2))
+
+
+@pytest.mark.parametrize("labels", [[1, 1, 1, 1, 1, 1], [0, 1, 0]],
+                         ids=["single_class", "fewer_examples_than_folds"])
+def test_every_dataset_is_checked_before_any_fold_runs(monkeypatch, labels):
+    calls = []
+    monkeypatch.setattr("kbfg.harness.cross_validate", lambda *a, **kw: calls.append(a))
+    bad = Dataset([Example(f"e{i}", y, {"col": "a"}) for i, y in enumerate(labels)],
+                  [("col", "col")])
+    with pytest.raises(ValueError, match="dataset 'bad'"):
+        run_experiment({"good": plain_ds(), "bad": bad}, EMPTY_KB, HarnessConfig(folds=4))
+    assert calls == []
+
+
+def test_expand_method_reads_the_harness_generation_config():
+    kb = load_kb(["borderOf\tegypt\tlibya", "borderOf\tegypt\tsudan"],
+                 ["borderOf\tcountry\tcountry\trel"])
+    examples = [Example(f"e{i}", i % 2, {"country": c})
+                for i, c in enumerate(["egypt", "atlantis", "egypt", "atlantis"])]
+    ds = Dataset(examples, [("country", "country")])
+
+    def expand_names(**generation):
+        cfg = HarnessConfig(generation=GenerationConfig(**generation))
+        return [f.name for f in method_generator("expand", cfg, kb, base_features(ds))(ds)]
+
+    assert expand_names() == []  # borderOf covers only half of the values
+    assert expand_names(coverage_threshold=0.5, aggregator_family="majority") == [
+        "borderOf(country):majority=libya", "borderOf(country):majority=sudan"]
 
 
 def test_fold_assignments_identical_across_methods():

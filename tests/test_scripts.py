@@ -25,6 +25,15 @@ def test_script_runs(script):
     assert done.stdout
 
 
+@pytest.mark.parametrize("script", ["depth_profile.py", "run_screening_experiment.py"])
+def test_script_rejects_no_seeds(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--seeds", "0"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "--seeds must be at least 1" in done.stderr and not done.stdout
+
+
 def run_cli(out, hash_seed):
     """Both `synth` scenarios, then `expand`, `generate`, `deep` and `eval` on the
     disorder one; every file written, by name."""

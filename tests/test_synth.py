@@ -174,5 +174,15 @@ def test_scenario_spec_validation():
         ScenarioSpec(variant="nope")
     with pytest.raises(ValueError):
         ScenarioSpec(n_surnames=4)
+    # balanced groups take their surnames from n_train: 40 would be dropped for 75
+    with pytest.raises(ValueError, match="n_surnames"):
+        ScenarioSpec(balanced_surname_groups=True, n_surnames=40)
+    with pytest.raises(ValueError, match="16 training surnames"):
+        ScenarioSpec(balanced_surname_groups=True, n_train=60)
+    assert ScenarioSpec(balanced_surname_groups=True, n_train=64).n_surnames is None
+    with pytest.raises(TypeError):
+        ScenarioSpec(female_fraction=0.5)  # derived from balanced_surname_groups
+    assert [ScenarioSpec(balanced_surname_groups=b).female_fraction
+            for b in (False, True)] == [0.75, 0.5]
     with pytest.raises(ValueError):
         gen_random_tasks(0, 0)
