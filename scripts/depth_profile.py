@@ -30,7 +30,6 @@ def main():
 
     sums = defaultdict(lambda: defaultdict(float))
     lists = defaultdict(lambda: defaultdict(list))
-    nodes = defaultdict(int)
     for seed in range(args.seeds):
         if args.n_surnames:
             spec = ScenarioSpec(seed=seed, n_surnames=args.n_surnames)
@@ -43,7 +42,6 @@ def main():
         _, report = deep_generate(train, base_features(train), kb, cfg)
         for row in report.rows():
             d = row["depth"]
-            nodes[d] += 1
             for key in ("candidates_tried", "features_generated", "filtered_count"):
                 sums[d][key] += row[key]
             for key in ("mean_size_ratio", "mean_generated_ig", "mean_best_plain_ig"):

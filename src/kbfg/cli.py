@@ -7,6 +7,9 @@ Subcommands:
 * ``generate`` recursive feature generation, with a filtering summary
 * ``deep``     divide-&-conquer generation with the per-depth report
 * ``eval``     cross-validated comparison of methods x learners
+
+A bad option is a usage error, found before any file is read.  Bad input
+ends a command with one ``kbfg <command>: error:`` line.  Both exit 2.
 """
 
 from __future__ import annotations
@@ -19,18 +22,18 @@ from dataclasses import fields
 from functools import partial
 
 from kbfg.aggregators import FAMILIES
-from kbfg.data import load_dataset_file, save_dataset
+from kbfg.data import DatasetError, load_dataset_file, save_dataset
 from kbfg.deep import DeepConfig, deep_generate
 from kbfg.expand import expand_features
 from kbfg.features import features_to_document
 from kbfg.harness import HarnessConfig, base_features, run_experiment
-from kbfg.kb import load_kb_files, save_kb
+from kbfg.kb import KBError, load_kb_files, save_kb
 from kbfg.recursive import GenerationConfig, GenerationStats, generate_features
 from kbfg.synth import VARIANTS, ScenarioSpec, gen_disorder_scenario, gen_random_tasks
 
 
-def _add_kb_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="dataset JSON-lines file")
+def _add_kb_args(p: argparse.ArgumentParser, nargs: str | None = None) -> None:
+    p.add_argument("--data", nargs=nargs, required=True, help="dataset JSON-lines file")
     p.add_argument("--kb-schema", required=True, help="relation schema TSV")
     p.add_argument("--kb-triples", required=True, help="triples TSV")
 
@@ -148,11 +151,7 @@ def cmd_eval(args, config: tuple[HarnessConfig, dict[str, str]]) -> int:
     cfg, paths = config
     kb = load_kb_files(args.kb_schema, args.kb_triples)
     datasets = {name: load_dataset_file(path) for name, path in paths.items()}
-    try:
-        result = run_experiment(datasets, kb, cfg)  # checks every dataset first
-    except ValueError as e:
-        print(f"kbfg eval: error: {e}", file=sys.stderr)
-        return 2
+    result = run_experiment(datasets, kb, cfg)  # checks every dataset first
     _dump(result.to_json(), args.out)
     print(result.to_text())
     return 0
@@ -208,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="also write the report JSON here")
 
     p = command("eval", "compare methods x learners", cmd_eval, _eval_config)
-    p.add_argument("--data", nargs="+", required=True)
-    p.add_argument("--kb-schema", required=True)
-    p.add_argument("--kb-triples", required=True)
+    _add_kb_args(p, nargs="+")
     _add_gen_args(p)
     p.add_argument("--methods", type=lambda text: text.split(","))
     p.add_argument("--learners", type=lambda text: text.split(","))
@@ -225,11 +222,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # every option is checked before any file is read
         cfg = args.config(args)
     except ValueError as e:
         parser.error(str(e))
-    return args.func(args, cfg)
+    try:
+        return args.func(args, cfg)
+    except (OSError, DatasetError, KBError) as e:
+        print(f"kbfg {args.command}: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

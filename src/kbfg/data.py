@@ -38,7 +38,7 @@ from kbfg.kb import KnowledgeBase
 from kbfg.values import FeatureValue, iter_atoms, normalize_value, value_to_json
 
 
-class DatasetError(Exception):
+class DatasetError(ValueError):
     """Malformed dataset input."""
 
 
@@ -142,8 +142,14 @@ def load_dataset(source: Iterable[str]) -> Dataset:
 
 
 def load_dataset_file(path) -> Dataset:
-    with open(path, encoding="utf-8") as f:
-        return load_dataset(f)
+    """`load_dataset` on the file at `path`; its errors name the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return load_dataset(f)
+    except DatasetError as e:
+        raise DatasetError(f"{path}: {e}") from None
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: not UTF-8 text") from None
 
 
 def dataset_lines(ds: Dataset) -> List[str]:
@@ -217,9 +223,6 @@ class FeatureMatrix:
             row.extend(more)
         self.feature_names += other.feature_names
         self._masks.update((width + j, masks) for j, masks in other._masks.items())
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> FeatureMatrix:

@@ -142,11 +142,13 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
     """Generate features in the local contexts of an IG-driven split tree.
 
     Returns every feature generated at any node (deduplicated, pre-order)
-    plus the per-depth report.  The split tree is not returned; it only
-    steers where generation runs.
+    plus the per-depth report; with no `features`, both are empty.  The
+    split tree is not returned; it only steers where generation runs.
     """
     cfg = cfg or DeepConfig()
     report = GenerationReport()
+    if not features:
+        return [], report
     collected: List[Feature] = []
     seen: set = set()
 

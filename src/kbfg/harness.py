@@ -10,8 +10,9 @@ generation once and builds its train and test matrices once; all learners
 are trained and scored on those same matrices.  The leak of generating on
 the whole dataset can still be measured outside the harness, by passing the
 features ``generate_features`` returns on the full dataset to
-``cross_validate``.  Every dataset is checked before any fold runs, and
-learners train with their own defaults.
+``cross_validate``.  Every dataset is checked before any fold runs: one
+with no features, a single class or fewer examples than folds raises
+``DatasetError`` naming it.  Learners train with their own defaults.
 
 Methods: ``baseline`` (no generation), ``expand`` (one relational
 expansion pass), ``recursive_d1`` / ``recursive_d2`` (recursive induction
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from kbfg.data import Dataset
+from kbfg.data import Dataset, DatasetError
 from kbfg.expand import expand_features
 from kbfg.features import BaseFeature, Feature
 from kbfg.kb import KnowledgeBase
@@ -145,15 +146,18 @@ def run_experiment(datasets: Dict[str, Dataset], kb: KnowledgeBase,
                    cfg: Optional[HarnessConfig] = None) -> ExperimentResult:
     """Cross-validated accuracies for every (dataset, learner, method) cell.
 
-    A dataset that cannot be cross-validated raises before any fold runs."""
+    A dataset that cannot be cross-validated raises `DatasetError`, naming
+    it, before any fold runs."""
     cfg = cfg or HarnessConfig()
     for name, ds in datasets.items():
         try:
+            if not ds.feature_names:
+                raise ValueError("it has no features")
             if len(set(ds.labels)) < 2:
                 raise ValueError("it has a single class")
             stratified_folds(ds.labels, cfg.folds, cfg.seed)
         except ValueError as e:
-            raise ValueError(f"dataset {name!r}: {e}") from None
+            raise DatasetError(f"dataset {name!r}: {e}") from None
     cells: Dict[str, Dict[str, Dict[str, Cell]]] = {}
     for name, ds in datasets.items():
         feats = base_features(ds)

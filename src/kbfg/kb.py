@@ -164,9 +164,14 @@ def save_kb(kb: KnowledgeBase, schema_path, triples_path) -> None:
         f.write("\n".join(triple_lines(kb)) + "\n")
 
 
+def _file_lines(path) -> List[str]:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError:
+        raise KBError(f"{path}: not UTF-8 text") from None
+
+
 def load_kb_files(schema_path, triples_path) -> KnowledgeBase:
-    with open(schema_path, encoding="utf-8") as sf:
-        schema = sf.readlines()
-    with open(triples_path, encoding="utf-8") as tf:
-        triples = tf.readlines()
-    return load_kb(triples, schema)
+    schema = _file_lines(schema_path)
+    return load_kb(_file_lines(triples_path), schema)

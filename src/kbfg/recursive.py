@@ -81,7 +81,6 @@ class GenerationConfig:
 
 @dataclass
 class RecursiveProblem:
-    source_name: str
     objects: List[Tuple[str, int]]      # (value token, majority label), sorted by token
     features: List[Feature]             # feature map over the value column
     partition_type: Optional[str] = None
@@ -174,8 +173,7 @@ def create_new_problem(f: Feature, ds: Dataset, masks: Mapping[FeatureValue, int
             if not feats:
                 status = "no_relations"
         if status is None:
-            problems.append(RecursiveProblem(
-                f.name, [(v, label_of[v]) for v in values], feats, ptype))
+            problems.append(RecursiveProblem([(v, label_of[v]) for v in values], feats, ptype))
         else:
             stats.add(CandidateRecord(f.name, level, len(values), len(ds.examples),
                                       status, ptype))

@@ -291,6 +291,5 @@ def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
         stats.add(CandidateRecord(f.name, level, len(values), len(ds.examples),
                                   status or "generated", ptype))
         if status is None:
-            problems.append(RecursiveProblem(
-                f.name, [(v, label_of[v]) for v in values], feats, ptype))
+            problems.append(RecursiveProblem([(v, label_of[v]) for v in values], feats, ptype))
     return problems

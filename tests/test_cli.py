@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,6 +210,44 @@ def test_eval_checks_every_dataset_before_any_fold_runs(scenario_dir, tmp_path, 
     captured = capsys.readouterr()
     assert "dataset 'small'" in captured.err and "4 folds" in captured.err
     assert "usage:" not in captured.err and not captured.out
+    assert not out.exists()
+
+
+def break_input(scen, case) -> str:
+    """Spoil one input file of `scen`; return what the error line must name."""
+    if case == "label":
+        train = scen / "train.jsonl"
+        header, first, *rest = train.read_text().splitlines()
+        bad = json.dumps({**json.loads(first), "label": 3})
+        train.write_text("\n".join([header, bad, *rest]) + "\n")
+        return f"{train}: line 2: label must be 0 or 1, got 3"
+    if case == "schema":
+        (scen / "kb_schema.tsv").write_text("countryOf\tsurname\n")
+        return "schema line 1: expected 4 tab-separated fields, got 2"
+    (scen / "kb_triples.tsv").unlink()
+    return str(scen / "kb_triples.tsv")
+
+
+@pytest.mark.parametrize("case", ["label", "schema", "missing-triples"])
+@pytest.mark.parametrize("command", ["expand", "generate", "deep", "eval"])
+def test_bad_input_ends_in_one_error_line(scenario_dir, tmp_path, capsys, command, case):
+    names = break_input(scenario_dir, case)
+    out = tmp_path / "out.json"
+    assert main([command, *kb_args(scenario_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kbfg {command}: error: ") and err.count("\n") == 1
+    assert names in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bad_input_ends_in_one_error_line_in_a_process(scenario_dir, tmp_path):
+    names = break_input(scenario_dir, "label")
+    out = tmp_path / "out.json"
+    done = subprocess.run([sys.executable, "-m", "kbfg", "generate", *kb_args(scenario_dir),
+                           "--out", str(out)], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr == f"kbfg generate: error: {names}\n"
     assert not out.exists()
 
 

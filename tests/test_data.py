@@ -1,10 +1,12 @@
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kbfg.data import DatasetError, dataset_lines, load_dataset, materialize, row_masks
+from kbfg.data import (DatasetError, dataset_lines, load_dataset, load_dataset_file, materialize,
+                       row_masks)
 from kbfg.features import (
     BaseFeature,
     ClassifierFeature,
@@ -98,6 +100,17 @@ def test_malformed_header_or_record_names_the_line(obj, match):
     source = lines(obj) if "schema" in obj else lines(header, obj)
     with pytest.raises(DatasetError, match=match):
         load_dataset(source)
+
+
+def test_dataset_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join(lines({"id": "a", "label": 3, "features": {}})) + "\n")
+    with pytest.raises(DatasetError,
+                       match=re.escape(f"{path}: line 1: label must be 0 or 1, got 3")):
+        load_dataset_file(path)
+    path.write_bytes(b'{"id": "\xe9", "label": 0}\n')
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: not UTF-8 text")):
+        load_dataset_file(path)
 
 
 def test_missing_schema_feature_fills_missing():

@@ -52,6 +52,13 @@ def test_pure_labels_generate_nothing():
     assert report.rows() == []
 
 
+def test_no_features_generate_nothing():
+    ds = Dataset([Example(f"e{i}", i % 2, {}) for i in range(12)], [])
+    feats, report = deep_generate(ds, [], EMPTY_KB, DeepConfig())
+    assert feats == []
+    assert report.rows() == []
+
+
 def test_small_node_generates_nothing():
     ds = toy_ds([["a"], ["b"]], [1, 0])
     cfg = DeepConfig(min_node_size=5)

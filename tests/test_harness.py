@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kbfg.data import Dataset, Example
+from kbfg.data import Dataset, DatasetError, Example
 from kbfg.features import serialize_feature
 from kbfg.harness import (
     METHODS,
@@ -115,6 +115,15 @@ def test_every_dataset_is_checked_before_any_fold_runs(monkeypatch, labels):
                   [("col", "col")])
     with pytest.raises(ValueError, match="dataset 'bad'"):
         run_experiment({"good": plain_ds(), "bad": bad}, EMPTY_KB, HarnessConfig(folds=4))
+    assert calls == []
+
+
+def test_dataset_with_no_features_is_rejected_before_any_fold_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr("kbfg.harness.cross_validate", lambda *a, **kw: calls.append(a))
+    bare = Dataset([Example(f"e{i}", i % 2, {}) for i in range(8)], [])
+    with pytest.raises(DatasetError, match="dataset 'bare': it has no features"):
+        run_experiment({"good": plain_ds(), "bare": bare}, EMPTY_KB, HarnessConfig(folds=4))
     assert calls == []
 
 

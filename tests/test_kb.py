@@ -1,7 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from kbfg.kb import KBError, load_kb, schema_lines, triple_lines
+from kbfg.kb import KBError, load_kb, load_kb_files, schema_lines, triple_lines
 
 
 SCHEMA = [
@@ -49,6 +51,14 @@ def test_malformed_lines_report_line_number():
         load_kb(["countryOf\tnowak\tpoland", "countryOf\tnowak"], SCHEMA)
     with pytest.raises(KBError, match="schema line 1"):
         load_kb([], ["countryOf\tsurname"])
+
+
+def test_kb_file_that_is_not_utf8_is_named(tmp_path):
+    schema, triples = tmp_path / "schema.tsv", tmp_path / "triples.tsv"
+    schema.write_text("\n".join(SCHEMA) + "\n")
+    triples.write_bytes(b"countryOf\tnow\xe9k\tpoland\n")
+    with pytest.raises(KBError, match=re.escape(f"{triples}: not UTF-8 text")):
+        load_kb_files(schema, triples)
 
 
 def test_duplicate_declaration_rejected():
