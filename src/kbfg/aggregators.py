@@ -9,8 +9,11 @@ partition.
 ``fired_targets`` gives every target that fires on one multiset.  It is
 the one test of an aggregator: evaluating one indicator feature asks
 whether its target is in that set, and ``materialize`` fills all the
-indicator columns of one (inner feature, relation, family) from one lookup
-per token and one such set per example.
+indicator columns of one ``majority`` family (inner feature, relation,
+family) from one lookup per token and one such set per example.  An ``any``
+set is every object looked up, so ``materialize`` fills an ``any`` family
+from one lookup per distinct token: each object fires on the rows of the
+tokens paired with it.
 """
 
 from __future__ import annotations

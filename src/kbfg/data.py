@@ -15,8 +15,9 @@ union of observed feature names, typed by their own name.
 
 ``materialize`` evaluates features into a row-major ``FeatureMatrix``.  The
 aggregator indicators of one (inner feature, relation, family) are filled
-together, from one evaluation of the inner value and one knowledge-base
-lookup per token and example; every other cell is evaluated on its own.
+together, from one evaluation of the inner value per example and one
+knowledge-base lookup per distinct token (``any``) or per token and example
+(``majority``); every other cell is evaluated on its own.
 
 A ``FeatureMatrix`` also holds each column's rows grouped by value, as
 ``row_masks`` gives them: ``FeatureMatrix.masks(j)`` builds them at most
@@ -110,6 +111,8 @@ def load_dataset(source: Iterable[str]) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise DatasetError(f"line {lineno}: invalid JSON ({e.msg})") from None
+        except RecursionError:
+            raise DatasetError(f"line {lineno}: invalid JSON (nested too deeply)") from None
         if first_content and isinstance(obj, dict) and "schema" in obj:
             declared = obj["schema"]
             if not isinstance(declared, dict) or \
@@ -230,16 +233,20 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
 
     The aggregator features that share one (inner feature, relation,
     family) form a family, such as the indicators one relation spawns over
-    a derived problem.  A family is filled in one pass: per example its
-    inner value is evaluated once (or read from its own column, when the
-    inner is also one of `features`) and split into tokens once for all its
-    families, each token is looked up once, and the set of targets that
-    fire gives every member's cell.  The same pass ORs the example's bit
-    into the mask of each target that fires, and into a missing mask when
-    the inner value is missing, so each member's ``masks`` come without a
-    scan of its column.  Every other cell is evaluated on its own.
-    Evaluation is pure, so the result is the one cell-by-cell evaluation
-    gives, and deterministic.
+    a derived problem.  A family is filled from the rows each target fires
+    on.  The inner value is evaluated once per example (or read from its
+    own column, when the inner is also one of `features`) and split into
+    tokens once for all its families, along with the row mask of each
+    distinct token and a missing mask.  An ``any`` family looks each
+    distinct token up once (``KnowledgeBase.lookup_masks``): a target fires
+    on the rows of every token paired with it.  A ``majority`` family looks
+    each token of each example up once and takes the example's targets
+    from ``fired_targets``.  A member's cells are ``"0"``, or ``None`` where
+    the inner value is missing, with ``"1"`` on the rows its target fires
+    on, and its ``masks`` follow from those rows without a scan of its
+    column.  Every other cell is evaluated on its own.  Evaluation is pure,
+    so the result is the one cell-by-cell evaluation gives, and
+    deterministic.
     """
     if not features:
         raise ValueError("materialize requires at least one feature")
@@ -254,31 +261,35 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
             columns[j] = [evaluate_feature(f, x, kb) for x in examples]
     inner_values = {f: column for f, column in zip(features, columns)
                     if column is not None} if families else {}
-    tokens: Dict[Feature, list] = {}        # inner -> per example, None or its tokens
+    inners: Dict[Feature, tuple] = {}       # inner -> _tokens(its values)
     masks: Dict[int, Dict[FeatureValue, int]] = {}
+    every = (1 << len(examples)) - 1
     for (inner, relation, family), members in families.items():
-        if inner not in tokens:
+        if inner not in inners:
             values = inner_values.get(inner)
             if values is None:
                 values = [evaluate_feature(inner, x, kb) for x in examples]
-            tokens[inner] = [None if v is None else tuple(iter_atoms(v)) for v in values]
-        fired: list = []
-        fires: Dict[str, int] = {}          # target -> the rows it fires on
-        missing, bit = 0, 1
-        for toks in tokens[inner]:
-            if toks is None:
-                fired.append(None)
-                missing |= bit
-            else:
-                s = fired_targets(family, [o for tok in toks for o in kb.lookup(relation, tok)])
-                fired.append(s)
-                for target in s:
-                    fires[target] = fires.get(target, 0) | bit
-            bit <<= 1
-        present = (bit - 1) ^ missing
+            inners[inner] = _tokens(values)
+        tokens, token_masks, missing, base = inners[inner]
+        if family == "any":
+            fires = kb.lookup_masks(relation, token_masks)   # target -> the rows it fires on
+        else:
+            fires, bit = {}, 1
+            for toks in tokens:
+                if toks is not None:
+                    looked_up = [o for tok in toks for o in kb.lookup(relation, tok)]
+                    for target in fired_targets(family, looked_up):
+                        fires[target] = fires.get(target, 0) | bit
+                bit <<= 1
+        present = every ^ missing
         for j, target in members:
-            columns[j] = [None if s is None else "1" if target in s else "0" for s in fired]
             ones = fires.get(target, 0)
+            columns[j] = column = list(base)
+            rows = ones
+            while rows:
+                low = rows & -rows
+                column[low.bit_length() - 1] = "1"
+                rows ^= low
             # the non-empty groups, in the order of their lowest row, as row_masks has them
             groups = sorted((m & -m, v, m) for v, m in
                             ((None, missing), ("1", ones), ("0", present ^ ones)) if m)
@@ -287,3 +298,22 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
                            [f.name for f in features])
     matrix._masks.update(masks)
     return matrix
+
+
+def _tokens(values: Sequence[FeatureValue]) -> tuple:
+    """Per value None or its tokens, each token's row mask, the missing mask,
+    and the cells of a family member that fires nowhere."""
+    tokens: list = []
+    token_masks: Dict[str, int] = {}
+    missing, bit = 0, 1
+    for v in values:
+        if v is None:
+            tokens.append(None)
+            missing |= bit
+        else:
+            toks = tuple(iter_atoms(v))
+            tokens.append(toks)
+            for tok in toks:
+                token_masks[tok] = token_masks.get(tok, 0) | bit
+        bit <<= 1
+    return tokens, token_masks, missing, [None if t is None else "0" for t in tokens]

@@ -11,8 +11,9 @@ are trained and scored on those same matrices.  The leak of generating on
 the whole dataset can still be measured outside the harness, by passing the
 features ``generate_features`` returns on the full dataset to
 ``cross_validate``.  Every dataset is checked before any fold runs: one
-with no features, a single class or fewer examples than folds raises
-``DatasetError`` naming it.  Learners train with their own defaults.
+with no examples, no features, a single class or fewer examples than
+folds raises ``DatasetError`` naming it.  Learners train with their own
+defaults.
 
 Methods: ``baseline`` (no generation), ``expand`` (one relational
 expansion pass), ``recursive_d1`` / ``recursive_d2`` (recursive induction
@@ -151,6 +152,8 @@ def run_experiment(datasets: Dict[str, Dataset], kb: KnowledgeBase,
     cfg = cfg or HarnessConfig()
     for name, ds in datasets.items():
         try:
+            if not ds.examples:
+                raise ValueError("it has no examples")
             if not ds.feature_names:
                 raise ValueError("it has no features")
             if len(set(ds.labels)) < 2:

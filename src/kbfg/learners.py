@@ -208,12 +208,17 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
     their lowest row, the order in which a scan of the node's rows first
     meets their values, so every gain is the one ``information_gain`` gives.
     A column constant on a node is constant below it and is not scored
-    there again.
+    there again.  A column with exactly two groups on the parent node
+    splits a node with one AND: the groups partition the parent, so the
+    second group is the node's rows outside the first, and its size and
+    positive count are the node's totals minus the first group's, integer
+    arithmetic that leaves every gain bit-identical.
     """
     cfg = cfg or TrainConfig()
     if not matrix.rows:
         raise ValueError("cannot train on an empty matrix")
     positive = row_masks(matrix.labels).get(1, 0)
+    min_leaf = cfg.min_leaf
     # (j, [(value, row mask), ...]) per column
     columns = [(j, list(matrix.masks(j).items())) for j in range(len(matrix.rows[0]))]
 
@@ -229,14 +234,27 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
         best_j, best_gain, best_groups = None, 0.0, None
         live = []                          # the columns not constant on this node
         for j, groups in columns:
-            here = [(v, m & node) for v, m in groups if m & node]
-            if len(here) < 2:
-                continue
-            live.append((j, here))
-            counts = [(m.bit_count(), (m & positive).bit_count()) for _, m in here]
-            if any(size < cfg.min_leaf for size, _ in counts):
-                continue  # split would create an undersized leaf
-            if len(counts) > 2:            # a sum of two terms is the same either way
+            if len(groups) == 2:           # two groups partition the node: one AND splits it
+                (v, m), (w, _) = groups
+                a = m & node
+                if not a or a == node:
+                    continue
+                here = [(v, a), (w, node ^ a)]
+                live.append((j, here))
+                size = a.bit_count()
+                if size < min_leaf or n - size < min_leaf:
+                    continue  # split would create an undersized leaf
+                pos = (a & positive).bit_count()
+                counts = [(size, pos), (n - size, ones - pos)]
+            else:
+                here = [(v, m & node) for v, m in groups if m & node]
+                if len(here) < 2:
+                    continue
+                live.append((j, here))
+                counts = [(m.bit_count(), (m & positive).bit_count()) for _, m in here]
+                if any(size < min_leaf for size, _ in counts):
+                    continue
+                # in the order of their lowest row (two terms add alike either way)
                 counts = [c for _, c in sorted(zip([m & -m for _, m in here], counts))]
             gain = _gain(n, ones, counts)
             if gain > best_gain + 1e-12:
@@ -390,7 +408,8 @@ def train_linear(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> Li
                 if n < s:
                     synced[k] = s
                     if k in weights:
-                        weights[k] = prod(shrinks[n:s], start=weights[k])
+                        weights[k] = weights[k] * shrinks[n] if n == s - 1 else \
+                            prod(shrinks[n:s], start=weights[k])
             score = bias + sum(map(get, row, zeros))
             shrink = shrinks[s]
             bias *= shrink

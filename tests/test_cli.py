@@ -221,6 +221,11 @@ def break_input(scen, case) -> str:
         bad = json.dumps({**json.loads(first), "label": 3})
         train.write_text("\n".join([header, bad, *rest]) + "\n")
         return f"{train}: line 2: label must be 0 or 1, got 3"
+    if case == "nested":
+        train = scen / "train.jsonl"
+        header, *rest = train.read_text().splitlines()
+        train.write_text("\n".join([header, "[" * 100_000, *rest]) + "\n")
+        return f"{train}: line 2: invalid JSON (nested too deeply)"
     if case == "schema":
         (scen / "kb_schema.tsv").write_text("countryOf\tsurname\n")
         return "schema line 1: expected 4 tab-separated fields, got 2"
@@ -228,7 +233,7 @@ def break_input(scen, case) -> str:
     return str(scen / "kb_triples.tsv")
 
 
-@pytest.mark.parametrize("case", ["label", "schema", "missing-triples"])
+@pytest.mark.parametrize("case", ["label", "nested", "schema", "missing-triples"])
 @pytest.mark.parametrize("command", ["expand", "generate", "deep", "eval"])
 def test_bad_input_ends_in_one_error_line(scenario_dir, tmp_path, capsys, command, case):
     names = break_input(scenario_dir, case)

@@ -106,14 +106,17 @@ def test_single_class_dataset_rejected():
         run_experiment({"d": ds}, EMPTY_KB, HarnessConfig(folds=2))
 
 
-@pytest.mark.parametrize("labels", [[1, 1, 1, 1, 1, 1], [0, 1, 0]],
-                         ids=["single_class", "fewer_examples_than_folds"])
-def test_every_dataset_is_checked_before_any_fold_runs(monkeypatch, labels):
+@pytest.mark.parametrize("labels, fault", [([1, 1, 1, 1, 1, 1], "it has a single class"),
+                                           ([0, 1, 0], "need at least 4 examples"),
+                                           ([], "it has no examples")],
+                         ids=["single_class", "fewer_examples_than_folds", "no_examples"])
+def test_every_dataset_is_checked_before_any_fold_runs(monkeypatch, labels, fault):
     calls = []
     monkeypatch.setattr("kbfg.harness.cross_validate", lambda *a, **kw: calls.append(a))
+    # a dataset file holding only its schema header loads with no examples
     bad = Dataset([Example(f"e{i}", y, {"col": "a"}) for i, y in enumerate(labels)],
                   [("col", "col")])
-    with pytest.raises(ValueError, match="dataset 'bad'"):
+    with pytest.raises(DatasetError, match=f"^dataset 'bad': {fault}"):
         run_experiment({"good": plain_ds(), "bad": bad}, EMPTY_KB, HarnessConfig(folds=4))
     assert calls == []
 

@@ -33,7 +33,7 @@ from kbfg.features import (
     predict_on_token,
 )
 from kbfg.harness import base_features
-from kbfg.kb import load_kb, schema_lines, triple_lines
+from kbfg.kb import KBError, load_kb, schema_lines, triple_lines
 from kbfg.learners import (
     LEARNER_KINDS,
     KnnModel,
@@ -282,7 +282,8 @@ def inners(draw):
 @st.composite
 def feature_lists(draw):
     """Columns of every kind; aggregators over a few shared inners form families."""
-    shared = draw(st.lists(inners(), min_size=1, max_size=3))
+    # the token itself is always an inner: only tokens are subjects of r0, r1 and w0
+    shared = [TOK] + draw(st.lists(inners(), max_size=2))
     aggregator = st.builds(
         lambda inner, rel, family, target: RelationFeature(
             inner, rel, AggregatorInstance(family, target)),
@@ -338,6 +339,51 @@ def test_family_makes_one_lookup_per_row_and_token(monkeypatch, evaluations):
     # the inner value is evaluated once per row, the members never one by one
     assert sorted(evaluations.values()) == [1] * 4
     assert {name for _, name in evaluations} == {"tok"}
+
+
+class CountingIndex(dict):
+    """A relation index that counts its reads by subject."""
+
+    def __init__(self, index, reads):
+        super().__init__(index)
+        self.reads = reads
+
+    def get(self, subject, default=None):
+        self.reads[subject] += 1
+        return super().get(subject, default)
+
+
+def test_any_family_reads_the_index_once_per_distinct_token(monkeypatch, evaluations):
+    ds = Dataset([Example("e0", 1, {"tok": "t2"}),
+                  Example("e1", 0, {"tok": frozenset({"t0", "t1", "t6"})}),
+                  Example("e2", 1, {"tok": None}),
+                  Example("e3", 0, {"tok": "t4"}),
+                  Example("e4", 1, {"tok": "t2"}),
+                  Example("e5", 0, {"tok": frozenset({"t0", "t4"})})], [("tok", "token")])
+    family = [RelationFeature(TOK, "r0", AggregatorInstance("any", v)) for v in LETTERS]
+    reads = Counter()
+    r0 = GEN_KB.relations["r0"]
+    monkeypatch.setattr(r0, "index", CountingIndex(r0.index, reads))
+    matrix = materialize(ds, family, GEN_KB)
+    assert matrix.rows == [["1", "1", "0", "0"], ["1", "1", "0", "0"], [None] * 4,
+                           ["0", "0", "1", "0"], ["1", "1", "0", "0"], ["1", "0", "1", "0"]]
+    # t2, t0 and t4 occur in two rows each and are still read once
+    assert reads == {t: 1 for t in ("t2", "t0", "t1", "t6", "t4")}
+    assert sorted(evaluations.values()) == [1] * 6
+    assert {name for _, name in evaluations} == {"tok"}
+
+
+@pytest.mark.parametrize("cells", [(None, None), (None, "t6")], ids=["all-missing", "one-token"])
+def test_any_family_on_an_undeclared_relation_raises_only_with_a_token(cells):
+    ds = Dataset([Example(f"e{i}", i % 2, {"tok": v}) for i, v in enumerate(cells)],
+                 [("tok", "token")])
+    family = [RelationFeature(TOK, "undeclared", AggregatorInstance("any", v)) for v in "ab"]
+    for build in (materialize, learner_oracles.materialize):
+        if any(cells):
+            with pytest.raises(KBError, match="undeclared relation 'undeclared'"):
+                build(ds, family, GEN_KB)
+        else:
+            assert build(ds, family, GEN_KB).rows == [[None, None], [None, None]]
 
 
 @st.composite
@@ -408,6 +454,35 @@ def test_tree_scores_a_column_again_below_its_undersized_group():
     assert tree.to_json() == learner_oracles.train_decision_tree(
         m, TrainConfig(min_leaf=2)).to_json()
     assert tree.root.feature == 0 and tree.root.children[1][1].feature == 1
+
+
+def test_tree_skips_a_two_valued_column_constant_on_a_child():
+    # f1 is "p" on every row of the f0 = "x" child, so there f2 splits; on the
+    # f0 = "y" child f1 has both values and splits
+    columns = ["yyxyxx", "pqpqpp", "uvvvuu"]
+    m = FeatureMatrix([list(row) for row in zip(*columns)], [1, 0, 0, 1, 1, 0],
+                      ["f0", "f1", "f2"])
+    cfg = TrainConfig(min_leaf=1)
+    tree = train_decision_tree(m, cfg)
+    assert tree.to_json() == learner_oracles.train_decision_tree(m, cfg).to_json()
+    [(x, on_x), (y, on_y)] = tree.root.children
+    assert (tree.root.feature, x, y) == (0, "x", "y")
+    assert on_x.feature == 2 and on_y.feature == 1
+
+
+@pytest.mark.parametrize("min_leaf, root", [(1, 0), (2, 1)])
+def test_tree_rejects_a_two_group_split_by_the_size_of_its_second_group(min_leaf, root):
+    # f0 separates the labels, but its second group ("q", the one taken as the
+    # node minus the first) holds one row, which min_leaf 2 does not allow
+    m = FeatureMatrix([[v, w] for v, w in zip("pppppq", "aaabbb")], [0, 0, 0, 0, 0, 1],
+                      ["f0", "f1"])
+    cfg = TrainConfig(min_leaf=min_leaf)
+    tree = train_decision_tree(m, cfg)
+    assert tree.to_json() == learner_oracles.train_decision_tree(m, cfg).to_json()
+    assert tree.root.feature == root
+    if min_leaf == 2:
+        assert [c.to_json() for _, c in tree.root.children] == \
+            [{"leaf": 0, "n": 3}, {"leaf": 0, "n": 3}]
 
 
 def test_tree_breaks_a_near_tie_as_the_reference():
