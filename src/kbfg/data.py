@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from kbfg.aggregators import fired_targets
 from kbfg.features import Feature, RelationFeature, evaluate_feature
-from kbfg.kb import KnowledgeBase
+from kbfg.kb import KnowledgeBase, collector_paused
 from kbfg.values import FeatureValue, iter_atoms, normalize_value, value_to_json
 
 
@@ -70,7 +70,7 @@ class Dataset:
         return len(self.examples)
 
 
-def _parse_record(obj: dict, lineno: int, schema_names: Optional[List[str]]) -> Example:
+def _parse_record(obj: dict, lineno: int, schema_names: Optional[Set[str]]) -> Example:
     try:
         ex_id = obj["id"]
         label = obj["label"]
@@ -97,9 +97,11 @@ def _parse_record(obj: dict, lineno: int, schema_names: Optional[List[str]]) -> 
     return Example(ex_id, label, assignment)
 
 
+@collector_paused()
 def load_dataset(source: Iterable[str]) -> Dataset:
     """Parse a JSON-lines dataset, enforcing unique ids and schema membership."""
     schema: Optional[List[Tuple[str, str]]] = None
+    declared_names: Optional[Set[str]] = None
     examples: List[Example] = []
     seen_ids = set()
     first_content = True
@@ -120,10 +122,11 @@ def load_dataset(source: Iterable[str]) -> Dataset:
                 raise DatasetError(f"line {lineno}: schema header must map feature "
                                    f"names to value-type names")
             schema = list(declared.items())
+            declared_names = set(declared) or None
             first_content = False
             continue
         first_content = False
-        ex = _parse_record(obj, lineno, [n for n, _ in schema] if schema else None)
+        ex = _parse_record(obj, lineno, declared_names)
         if ex.id in seen_ids:
             raise DatasetError(f"line {lineno}: duplicate example id {ex.id!r}")
         seen_ids.add(ex.id)
@@ -145,9 +148,10 @@ def load_dataset(source: Iterable[str]) -> Dataset:
 
 
 def load_dataset_file(path) -> Dataset:
-    """`load_dataset` on the file at `path`; its errors name the path."""
+    """`load_dataset` on the file at `path`, a leading byte-order mark dropped;
+    its errors name the path."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return load_dataset(f)
     except DatasetError as e:
         raise DatasetError(f"{path}: {e}") from None

@@ -8,8 +8,8 @@ a forward index from subject to objects; the pair set and the object set
 are views over it.  The store is immutable after loading and safe for
 concurrent reads.
 
-File formats (UTF-8, tab-separated, ``#`` comment lines and blank lines
-skipped):
+File formats (UTF-8, a leading byte-order mark dropped, tab-separated,
+``#`` comment lines and blank lines skipped):
 
 * schema:  ``name<TAB>departure_type<TAB>codomain_type<TAB>fn|rel``
 * triples: ``relation<TAB>subject<TAB>object``
@@ -17,8 +17,10 @@ skipped):
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 
 class KBError(Exception):
@@ -100,14 +102,31 @@ class KnowledgeBase:
                 if self.relations[n].departure_type == type_name]
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector disabled, then restore
+    the state it had.
+
+    A load allocates an object or more per line and makes no reference
+    cycles, so the collector's passes over them would free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _content_lines(source: Iterable[str]) -> Iterable[Tuple[int, str]]:
     for i, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield i, line
+        content = raw.strip()
+        if content and content[0] != "#":
+            yield i, raw.rstrip("\n").rstrip("\r")
 
 
+@collector_paused()
 def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> KnowledgeBase:
     """Build a KnowledgeBase from schema and triple lines.
 
@@ -129,23 +148,33 @@ def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> Know
             raise KBError(f"schema line {lineno}: duplicate relation declaration {name!r}")
         decls[name] = (departure, codomain, kind == "fn")
 
+    functions = {name for name, (_, _, fn) in decls.items() if fn}
     index: Dict[str, Dict[str, Set[str]]] = {name: {} for name in decls}
     for lineno, line in _content_lines(triples_source):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise KBError(f"triples line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        rel, subj, obj = (f.strip() for f in fields)
-        if rel not in decls:
+        try:
+            rel, subj, obj = line.split("\t")
+        except ValueError:
+            n = len(line.split("\t"))
+            raise KBError(f"triples line {lineno}: expected 3 tab-separated fields, "
+                          f"got {n}") from None
+        rel = rel.strip()
+        subj = subj.strip()
+        obj = obj.strip()
+        rel_index = index.get(rel)
+        if rel_index is None:
             raise KBError(f"triples line {lineno}: undeclared relation {rel!r}")
         if not subj or not obj:
             raise KBError(f"triples line {lineno}: empty subject or object")
-        objs = index[rel].setdefault(subj, set())
-        if decls[rel][2] and objs and obj not in objs:
-            [prev] = objs
-            raise KBError(
-                f"triples line {lineno}: function relation {rel!r} maps {subj!r} "
-                f"to both {prev!r} and {obj!r}")
-        objs.add(obj)
+        objs = rel_index.get(subj)
+        if objs is None:
+            rel_index[subj] = {obj}
+        elif obj not in objs:
+            if rel in functions:
+                [prev] = objs
+                raise KBError(
+                    f"triples line {lineno}: function relation {rel!r} maps {subj!r} "
+                    f"to both {prev!r} and {obj!r}")
+            objs.add(obj)
 
     relations = {
         name: Relation(name, dep, cod, fn,
@@ -183,7 +212,7 @@ def save_kb(kb: KnowledgeBase, schema_path, triples_path) -> None:
 
 def _file_lines(path) -> List[str]:
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.readlines()
     except UnicodeDecodeError:
         raise KBError(f"{path}: not UTF-8 text") from None

@@ -14,14 +14,19 @@ trainer, bitmask k-NN index, lazily evaluated model rows, per-family
 aggregator fill, bitmask tree, early size filter and shared relational
 step; the differential tests in ``test_learner_oracles.py`` require
 identical results from the library.
+
+``load_kb`` and ``load_dataset`` are the loaders as they were before the
+lean triple loop, the paused collector and the schema-name set: the library
+must load equal objects from the same lines, or raise the same message.
 """
 
+import json
 import math
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from kbfg.aggregators import AggregatorInstance
-from kbfg.data import Dataset, Example, FeatureMatrix
+from kbfg.data import Dataset, DatasetError, Example, FeatureMatrix
 from kbfg.features import (
     VALUE_COLUMN,
     BaseFeature,
@@ -30,7 +35,7 @@ from kbfg.features import (
     RelationFeature,
     evaluate_feature,
 )
-from kbfg.kb import KnowledgeBase, Relation
+from kbfg.kb import KBError, KnowledgeBase, Relation
 from kbfg.learners import (
     LinearModel,
     TrainConfig,
@@ -40,7 +45,7 @@ from kbfg.learners import (
     majority_label,
 )
 from kbfg.recursive import CandidateRecord, GenerationConfig, GenerationStats, RecursiveProblem
-from kbfg.values import FeatureValue, iter_atoms, value_sort_key
+from kbfg.values import FeatureValue, iter_atoms, normalize_value, value_sort_key
 
 
 def train_linear(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> LinearModel:
@@ -293,3 +298,132 @@ def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],
         if status is None:
             problems.append(RecursiveProblem([(v, label_of[v]) for v in values], feats, ptype))
     return problems
+
+
+def _content_lines(source: Iterable[str]) -> Iterable[Tuple[int, str]]:
+    for i, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        yield i, line
+
+
+def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> KnowledgeBase:
+    """Build a KnowledgeBase from schema and triple lines.
+
+    Rejects: malformed lines (with line number), duplicate relation
+    declarations, triples on undeclared relations, and functional relations
+    with two distinct objects for one subject.
+    """
+    decls: Dict[str, Tuple[str, str, bool]] = {}
+    for lineno, line in _content_lines(schema_source):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise KBError(f"schema line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
+        name, departure, codomain, kind = (f.strip() for f in fields)
+        if not name or not departure or not codomain:
+            raise KBError(f"schema line {lineno}: empty field")
+        if kind not in ("fn", "rel"):
+            raise KBError(f"schema line {lineno}: kind must be 'fn' or 'rel', got {kind!r}")
+        if name in decls:
+            raise KBError(f"schema line {lineno}: duplicate relation declaration {name!r}")
+        decls[name] = (departure, codomain, kind == "fn")
+
+    index: Dict[str, Dict[str, Set[str]]] = {name: {} for name in decls}
+    for lineno, line in _content_lines(triples_source):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise KBError(f"triples line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        rel, subj, obj = (f.strip() for f in fields)
+        if rel not in decls:
+            raise KBError(f"triples line {lineno}: undeclared relation {rel!r}")
+        if not subj or not obj:
+            raise KBError(f"triples line {lineno}: empty subject or object")
+        objs = index[rel].setdefault(subj, set())
+        if decls[rel][2] and objs and obj not in objs:
+            [prev] = objs
+            raise KBError(
+                f"triples line {lineno}: function relation {rel!r} maps {subj!r} "
+                f"to both {prev!r} and {obj!r}")
+        objs.add(obj)
+
+    relations = {
+        name: Relation(name, dep, cod, fn,
+                       {s: frozenset(objs) for s, objs in index[name].items()})
+        for name, (dep, cod, fn) in decls.items()
+    }
+    return KnowledgeBase(relations)
+
+
+def _parse_record(obj: dict, lineno: int, schema_names: Optional[List[str]]) -> Example:
+    try:
+        ex_id = obj["id"]
+        label = obj["label"]
+        feats = obj.get("features", {})
+    except (KeyError, TypeError):
+        raise DatasetError(f"line {lineno}: record must carry id, label, features") from None
+    if not isinstance(feats, dict):
+        raise DatasetError(f"line {lineno}: features must be an object")
+    if not isinstance(ex_id, str) or not ex_id:
+        raise DatasetError(f"line {lineno}: id must be a non-empty string")
+    if type(label) is not int or label not in (0, 1):
+        raise DatasetError(f"line {lineno}: label must be 0 or 1, got {label!r}")
+    assignment: Dict[str, FeatureValue] = {}
+    for name, raw in feats.items():
+        if schema_names is not None and name not in schema_names:
+            raise DatasetError(f"line {lineno}: feature {name!r} not in schema header")
+        if raw is not None and not isinstance(raw, (str, list)):
+            raise DatasetError(f"line {lineno}: feature {name!r} must be a string, "
+                               f"an array of strings, or null")
+        try:
+            assignment[name] = normalize_value(raw)
+        except ValueError as e:
+            raise DatasetError(f"line {lineno}: feature {name!r}: {e}") from None
+    return Example(ex_id, label, assignment)
+
+
+def load_dataset(source: Iterable[str]) -> Dataset:
+    """Parse a JSON-lines dataset, enforcing unique ids and schema membership."""
+    schema: Optional[List[Tuple[str, str]]] = None
+    examples: List[Example] = []
+    seen_ids = set()
+    first_content = True
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DatasetError(f"line {lineno}: invalid JSON ({e.msg})") from None
+        except RecursionError:
+            raise DatasetError(f"line {lineno}: invalid JSON (nested too deeply)") from None
+        if first_content and isinstance(obj, dict) and "schema" in obj:
+            declared = obj["schema"]
+            if not isinstance(declared, dict) or \
+                    not all(isinstance(t, str) for t in declared.values()):
+                raise DatasetError(f"line {lineno}: schema header must map feature "
+                                   f"names to value-type names")
+            schema = list(declared.items())
+            first_content = False
+            continue
+        first_content = False
+        ex = _parse_record(obj, lineno, [n for n, _ in schema] if schema else None)
+        if ex.id in seen_ids:
+            raise DatasetError(f"line {lineno}: duplicate example id {ex.id!r}")
+        seen_ids.add(ex.id)
+        examples.append(ex)
+
+    if schema is None:
+        names: List[str] = []
+        for ex in examples:
+            for name in ex.assignment:
+                if name not in names:
+                    names.append(name)
+        schema = [(name, name) for name in names]
+
+    schema_names = [n for n, _ in schema]
+    for ex in examples:
+        for name in schema_names:
+            ex.assignment.setdefault(name, None)
+    return Dataset(examples, schema)

@@ -1,10 +1,12 @@
 import functools
+import gc
 import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import learner_oracles
 from kbfg.data import (DatasetError, dataset_lines, load_dataset, load_dataset_file, materialize,
                        row_masks)
 from kbfg.features import (
@@ -467,6 +469,67 @@ def test_any_jsonl_lines_load_or_raise_dataset_error(lines):
     for x in ds.examples:
         assert type(x.label) is int and x.label in (0, 1)
         assert set(x.assignment) == set(ds.feature_names)
+
+
+def load_outcome(load, *sources):
+    """The loaded object, or the type and message of the typed error the load raised."""
+    try:
+        return load(*sources)
+    except (DatasetError, KBError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+# well-formed lines: headers, records (one with a feature the first header
+# lacks), blank lines; each ending as it comes from a list, a file read on
+# Unix or one read on Windows
+dataset_content_lines = st.tuples(st.sampled_from([
+    '{"schema": {"surname": "surname"}}', '{"schema": {}}',
+    '{"id": "p1", "label": 1, "features": {"surname": "haddad"}}',
+    '{"id": "p2", "label": 0, "features": {"surname": ["a", "b"], "gender": null}}',
+    '{"id": "p3", "label": 0, "features": {"gender": "f"}}',
+    '{"id": "p4", "label": 1}', "  ", "\t"]), st.sampled_from(["", "\n", "\r\n"])).map("".join)
+
+
+@settings(max_examples=200)
+@given(st.lists(dataset_content_lines, max_size=6), st.integers(0, 6),
+       st.lists(record_lines, max_size=2))
+def test_load_dataset_matches_the_reference_loader(lines, at, more_lines):
+    lines[at:at] = more_lines
+    assert load_outcome(load_dataset, lines) == load_outcome(learner_oracles.load_dataset, lines)
+
+
+def test_dataset_file_with_a_byte_order_mark_loads_as_without(tmp_path):
+    records = lines({"schema": {"surname": "surname", "gender": "gender"}},
+                    {"id": "a", "label": 1, "features": {"surname": "haddad"}},
+                    {"id": "b", "label": 0, "features": {"gender": "f"}})
+    loaded = []
+    for bom in ("", "\ufeff"):
+        path = tmp_path / f"d{len(bom)}.jsonl"
+        path.write_text(bom + "\n".join(records) + "\n", encoding="utf-8")
+        loaded.append(load_dataset_file(path))
+    assert loaded[0] == loaded[1] == load_dataset(records)
+
+
+KB_LINES = (["countryOf\tnowak\tpoland"], ["countryOf\tsurname\tcountry\tfn"])
+RECORDS = lines({"schema": {"surname": "surname"}},
+                {"id": "a", "label": 1, "features": {"surname": "nowak"}})
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("load,sources,raises", [
+    (load_kb, KB_LINES, False),
+    (load_kb, (KB_LINES[0] + ["countryOf\tnowak\tegypt"], KB_LINES[1]), True),
+    (load_dataset, (RECORDS,), False),
+    (load_dataset, (RECORDS + RECORDS[1:],), True),
+], ids=["kb loads", "kb raises", "dataset loads", "dataset raises"])
+def test_a_load_leaves_the_collector_as_it_found_it(enabled, load, sources, raises):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert isinstance(load_outcome(load, *sources), str) is raises
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 @pytest.mark.parametrize("learner_kind", ["tree", "knn", "linear"])

@@ -1,8 +1,9 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import learner_oracles
 from kbfg.kb import KBError, load_kb, load_kb_files, schema_lines, triple_lines
 
 
@@ -172,8 +173,18 @@ def test_lookup_union_is_object_column(inputs):
 kb_fields = st.one_of(st.sampled_from(["countryOf", "borderOf", "egypt", "poland", "fn",
                                        "rel", "", " ", "\r", "#"]),
                       st.text(max_size=4))
-kb_lines = st.one_of(st.sampled_from(SCHEMA + TRIPLES),
-                     st.lists(kb_fields, max_size=5).map("\t".join), st.text(max_size=12))
+# a line's end as it comes from a list, a file read on Unix or one read on Windows
+line_ends = st.sampled_from(["", "\n", "\r\n"])
+# valid triple lines (repeated when drawn twice), a triple that contradicts a
+# function triple, one with a blank subject, whitespace-only and indented
+# comment lines
+triple_content_lines = st.sampled_from(TRIPLES + [
+    "countryOf\tnowak\tegypt", "climate\t \thot", " \t ", "\t\t", "  # an indented comment"])
+# declared, near-valid and random lines, each with one of those ends
+kb_lines = st.tuples(st.one_of(st.sampled_from(SCHEMA), triple_content_lines,
+                               st.lists(kb_fields, max_size=5).map("\t".join),
+                               st.text(max_size=12)),
+                     line_ends).map("".join)
 
 
 @given(st.lists(kb_lines, max_size=8), st.lists(kb_lines, max_size=8))
@@ -186,3 +197,31 @@ def test_any_tsv_lines_load_or_raise_kb_error(triples, schema):
         for subject, objects in rel.index.items():
             assert subject and objects and all(objects)
             assert not rel.is_function or len(objects) == 1
+
+
+def kb_outcome(triples, schema, load=load_kb):
+    """The loaded KB, or the message of the `KBError` the load raised."""
+    try:
+        return load(triples, schema)
+    except KBError as e:
+        return str(e)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.just(SCHEMA), st.lists(kb_lines, max_size=8)),
+       st.lists(st.tuples(triple_content_lines, line_ends).map("".join), max_size=10),
+       st.integers(0, 10), st.lists(kb_lines, max_size=2))
+def test_load_kb_matches_the_reference_loader(schema, triples, at, more_triples):
+    triples[at:at] = more_triples
+    assert kb_outcome(triples, schema) == \
+        kb_outcome(triples, schema, learner_oracles.load_kb)
+
+
+def test_kb_files_with_a_byte_order_mark_load_as_without(tmp_path):
+    loaded = []
+    for bom in ("", "\ufeff"):
+        schema, triples = tmp_path / f"schema{len(bom)}.tsv", tmp_path / f"triples{len(bom)}.tsv"
+        schema.write_text(bom + "\n".join(SCHEMA) + "\n", encoding="utf-8")
+        triples.write_text(bom + "\n".join(TRIPLES) + "\n", encoding="utf-8")
+        loaded.append(load_kb_files(schema, triples))
+    assert loaded[0] == loaded[1] == make_kb()
