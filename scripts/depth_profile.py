@@ -10,6 +10,7 @@ generated features against the best plain feature at the same node.
 
 import argparse
 from collections import defaultdict
+from dataclasses import replace
 
 from kbfg.deep import DeepConfig, deep_generate
 from kbfg.harness import base_features
@@ -27,18 +28,20 @@ def main():
     args = ap.parse_args()
     if args.seeds < 1:
         ap.error("--seeds must be at least 1")
+    try:
+        if args.n_surnames is not None:
+            spec = ScenarioSpec(n_surnames=args.n_surnames)
+        else:
+            spec = ScenarioSpec(balanced_surname_groups=True, desert_fraction=0.7)
+        cfg = DeepConfig(min_node_size=args.min_node_size,
+                         generation=GenerationConfig(depth=args.depth))
+    except ValueError as e:
+        ap.error(str(e))
 
     sums = defaultdict(lambda: defaultdict(float))
     lists = defaultdict(lambda: defaultdict(list))
     for seed in range(args.seeds):
-        if args.n_surnames:
-            spec = ScenarioSpec(seed=seed, n_surnames=args.n_surnames)
-        else:
-            spec = ScenarioSpec(seed=seed, balanced_surname_groups=True,
-                                desert_fraction=0.7)
-        train, _, kb, _ = gen_disorder_scenario(spec)
-        cfg = DeepConfig(min_node_size=args.min_node_size,
-                         generation=GenerationConfig(depth=args.depth))
+        train, _, kb, _ = gen_disorder_scenario(replace(spec, seed=seed))
         _, report = deep_generate(train, base_features(train), kb, cfg)
         for row in report.rows():
             d = row["depth"]

@@ -9,6 +9,7 @@ cross-validated methods x learners grid is `kbfg eval` (see the README).
 
 import argparse
 import time
+from dataclasses import replace
 
 from kbfg.data import materialize
 from kbfg.harness import base_features
@@ -17,15 +18,14 @@ from kbfg.recursive import GenerationConfig, generate_features
 from kbfg.synth import VARIANTS, ScenarioSpec, gen_disorder_scenario
 
 
-def one_seed(seed: int, depth: int, variant: str):
-    spec = ScenarioSpec(seed=seed, variant=variant)
+def one_seed(spec: ScenarioSpec, cfg: GenerationConfig):
     train, test, kb, _ = gen_disorder_scenario(spec)
     feats = base_features(train)
 
     base_model = train_decision_tree(materialize(train, feats, kb))
     base_acc = accuracy(base_model, materialize(test, feats, kb))
 
-    generated = generate_features(train, feats, kb, GenerationConfig(depth=depth))
+    generated = generate_features(train, feats, kb, cfg)
     full = feats + generated
     model = train_decision_tree(materialize(train, full, kb))
     gen_acc = accuracy(model, materialize(test, full, kb))
@@ -40,12 +40,17 @@ def main():
     args = ap.parse_args()
     if args.seeds < 1:
         ap.error("--seeds must be at least 1")
+    try:
+        spec = ScenarioSpec(variant=args.variant)
+        cfg = GenerationConfig(depth=args.depth)
+    except ValueError as e:
+        ap.error(str(e))
 
     t0 = time.time()
     print(f"{'seed':>4} {'baseline':>9} {'generated':>10} {'n_new':>6}")
     base_accs, gen_accs = [], []
     for seed in range(args.seeds):
-        b, g, n = one_seed(seed, args.depth, args.variant)
+        b, g, n = one_seed(replace(spec, seed=seed), cfg)
         base_accs.append(b)
         gen_accs.append(g)
         print(f"{seed:>4} {b:>9.3f} {g:>10.3f} {n:>6}")

@@ -6,7 +6,8 @@ feature values, recursive induction over the values of a feature (training
 a classifier on a derived problem and composing it back as a feature), and
 a divide-&-conquer driver that runs the recursive generator in local
 contexts selected by information gain.  An evaluation harness quantifies
-how much the generated features help downstream learners.
+how much the generated features help downstream learners, and reads each
+dataset's difficulty (MAA) off the same cross-validated grid.
 """
 
 from kbfg.kb import KnowledgeBase, Relation, load_kb
@@ -17,20 +18,19 @@ from kbfg.features import (
     RelationFeature,
     evaluate_feature,
 )
-from kbfg.aggregators import AggregatorInstance, any_aggregate, majority_aggregate
+from kbfg.aggregators import AggregatorInstance
 from kbfg.expand import expand_features
-from kbfg.recursive import GenerationConfig, apply_generated, generate_features
+from kbfg.recursive import GenerationConfig, generate_features
 from kbfg.deep import DeepConfig, GenerationReport, deep_generate, select_feature
 from kbfg.learners import (
     TrainConfig,
     cross_validate,
-    information_gain,
     train_decision_tree,
     train_knn,
     train_linear,
 )
 from kbfg.stats import friedman_test, paired_t_test
-from kbfg.harness import HarnessConfig, maa, run_experiment
+from kbfg.harness import HarnessConfig, run_experiment
 from kbfg.synth import ScenarioSpec, gen_disorder_scenario, gen_random_tasks
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "RelationFeature",
     "ScenarioSpec",
     "TrainConfig",
-    "any_aggregate",
-    "apply_generated",
     "cross_validate",
     "deep_generate",
     "evaluate_feature",
@@ -58,11 +56,8 @@ __all__ = [
     "gen_disorder_scenario",
     "gen_random_tasks",
     "generate_features",
-    "information_gain",
     "load_dataset",
     "load_kb",
-    "maa",
-    "majority_aggregate",
     "materialize",
     "paired_t_test",
     "run_experiment",

@@ -7,13 +7,13 @@ target fires per non-empty multiset and the resulting feature group forms a
 partition.
 
 ``fired_targets`` gives every target that fires on one multiset.  It is
-the one test of an aggregator: evaluating one indicator feature asks
-whether its target is in that set, and ``materialize`` fills all the
-indicator columns of one ``majority`` family (inner feature, relation,
-family) from one lookup per token and one such set per example.  An ``any``
-set is every object looked up, so ``materialize`` fills an ``any`` family
-from one lookup per distinct token: each object fires on the rows of the
-tokens paired with it.
+the one test of an aggregator, with no per-target form: evaluating one
+indicator feature asks whether its target is in that set, and
+``materialize`` fills all the indicator columns of one ``majority`` family
+(inner feature, relation, family) from one lookup per token and one such
+set per example.  An ``any`` set is every object looked up, so
+``materialize`` fills an ``any`` family from one lookup per distinct token:
+each object fires on the rows of the tokens paired with it.
 """
 
 from __future__ import annotations
@@ -41,16 +41,6 @@ def fired_targets(family: str, values: Iterable[str]) -> FrozenSet[str]:
         return frozenset()
     top = max(counts.values())
     return frozenset((min(val for val, c in counts.items() if c == top),))
-
-
-def majority_aggregate(values: Iterable[str], v: str) -> int:
-    """1 iff `v` is the unique designated majority element of the multiset."""
-    return int(v in fired_targets("majority", values))
-
-
-def any_aggregate(values: Iterable[str], v: str) -> int:
-    """1 iff `v` occurs in the multiset at all."""
-    return int(v in fired_targets("any", values))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ defaults.
 
 Methods: ``baseline`` (no generation), ``expand`` (one relational
 expansion pass), ``recursive_d1`` / ``recursive_d2`` (recursive induction
-at depth 1 / 2).
+at depth 1 / 2).  A dataset's MAA (maximal achievable accuracy), a proxy
+for its difficulty, is read off the same grid: its best ``baseline`` cell
+over the learners.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class HarnessConfig:
                 raise ValueError(f"unknown learner {l!r}")
         for name in ("methods", "learners"):
             values = list(getattr(self, name))
+            if not values:
+                raise ValueError(f"no {name} given")
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} in {values}")
         if self.folds < 2:
@@ -83,6 +87,18 @@ class ExperimentResult:
     def cell(self, dataset: str, learner: str, method: str) -> Cell:
         return self.cells[dataset][learner][method]
 
+    def maa(self, dataset: str) -> float:
+        """Maximal achievable accuracy: the best ``baseline`` cell mean of
+        `dataset` over the run's learners.
+
+        A proxy for task difficulty: low values mean no learner does well on
+        the original features alone.  Raises `ValueError` when the run has no
+        ``baseline`` method.
+        """
+        if "baseline" not in self.methods:
+            raise ValueError(f"no MAA for dataset {dataset!r}: the run has no baseline method")
+        return max(self.cell(dataset, learner, "baseline").mean for learner in self.learners)
+
     def to_json(self) -> dict:
         return {
             "methods": self.methods,
@@ -97,6 +113,7 @@ class ExperimentResult:
         """Per-dataset table: learners as rows, methods as columns.
 
         ``+`` marks p < 0.05 against the baseline, ``*`` marks p < 0.001.
+        When the baseline ran, an ``MAA:`` line follows each table.
         """
         lines = []
         width = max(12, max(len(m) for m in self.methods) + 3)
@@ -117,6 +134,8 @@ class ExperimentResult:
                             mark = "+"
                     row.append(f"{c.mean:.3f}{mark:<1}".rjust(width))
                 lines.append("".join(row))
+            if "baseline" in self.methods:
+                lines.append(f"MAA: {self.maa(dataset):.3f}")
             lines.append("")
         for learner, fr in self.friedman.items():
             sig = ", ".join(f"p<{a}" for a in sorted(fr.significant_at)) or "n.s."
@@ -183,13 +202,3 @@ def run_experiment(datasets: Dict[str, Dataset], kb: KnowledgeBase,
             matrix = [[cells[d][learner][m].mean for m in cfg.methods] for d in cells]
             result.friedman[learner] = friedman_test(matrix)
     return result
-
-
-def maa(ds: Dataset, kb: KnowledgeBase, folds: int = 10, seed: int = 0) -> float:
-    """Maximal cross-validated baseline accuracy over the three learners.
-
-    A proxy for task difficulty: low values mean no learner does well on
-    the original features alone.
-    """
-    accs = cross_validate(ds, base_features(ds), kb, LEARNER_KINDS, folds, seed)
-    return max(sum(a) / len(a) for a in accs.values())

@@ -4,9 +4,8 @@ A knowledge base is a set of named binary relations.  Each relation has a
 departure type and a codomain type (bare type tokens, used for domain
 partitioning), a set of (subject, object) pairs, and a flag marking it as
 functional (at most one object per subject).  The pairs are stored once, as
-a forward index from subject to objects; the pair set and the object set
-are views over it.  The store is immutable after loading and safe for
-concurrent reads.
+a forward index from subject to objects; the pair set is a view over it.
+The store is immutable after loading and safe for concurrent reads.
 
 File formats (UTF-8, a leading byte-order mark dropped, tab-separated,
 ``#`` comment lines and blank lines skipped):
@@ -38,13 +37,6 @@ class Relation:
     @property
     def pairs(self) -> FrozenSet[Tuple[str, str]]:
         return frozenset((s, o) for s, objs in self.index.items() for o in objs)
-
-    @property
-    def subjects(self) -> FrozenSet[str]:
-        return frozenset(self.index)
-
-    def objects(self) -> FrozenSet[str]:
-        return frozenset(o for objs in self.index.values() for o in objs)
 
 
 @dataclass

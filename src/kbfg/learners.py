@@ -82,9 +82,8 @@ def _gain(n: int, ones: int, groups: Iterable[Tuple[int, int]]) -> float:
     """Information gain of splitting `n` labels (`ones` of them 1) into
     groups given as (size, ones) pairs, summed in the order given.
 
-    The one gain core: the tree, ``column_information_gain`` and the guarded
-    ``information_gain`` all score a split here, so equal counts in equal
-    order give bit-identical gains everywhere.
+    The one gain core: the tree and ``column_information_gain`` both score a
+    split here, so equal counts in equal order give bit-identical gains.
     """
     cond = 0.0
     for size, pos in groups:
@@ -92,33 +91,11 @@ def _gain(n: int, ones: int, groups: Iterable[Tuple[int, int]]) -> float:
     return max(0.0, _entropy(n, ones) - cond)
 
 
-def entropy(labels: Sequence[int]) -> float:
-    """Binary entropy of a label sequence, in bits; 0*log0 counts as 0."""
-    n = len(labels)
-    return _entropy(n, sum(labels)) if n else 0.0
-
-
-def information_gain(labels: Sequence[int], partition: Iterable[Sequence[int]]) -> float:
-    """Entropy reduction of `labels` under a partition of its indices.
-
-    `partition` groups every index exactly once (guarded).  Result is in
-    bits and clamped to be non-negative against rounding.
-    """
-    groups = [list(g) for g in partition]
-    n = len(labels)
-    if n == 0:
-        raise ValueError("information_gain requires labels")
-    covered = sorted(i for g in groups for i in g)
-    if covered != list(range(n)):
-        raise ValueError("partition must cover every label index exactly once")
-    return _gain(n, sum(labels), [(len(g), sum(labels[i] for i in g)) for g in groups])
-
-
 def column_information_gain(matrix: FeatureMatrix, j: int) -> float:
     """IG of splitting the matrix's labels by column j's values (missing included)."""
     masks = matrix.masks(j)
     if not masks:
-        raise ValueError("information_gain requires labels")
+        raise ValueError("column_information_gain requires labels")
     positive = row_masks(matrix.labels).get(1, 0)
     return _gain(len(matrix.labels), positive.bit_count(),
                  [(m.bit_count(), (m & positive).bit_count()) for m in masks.values()])
@@ -206,9 +183,9 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
     candidate split's group sizes and positive counts are bit counts of the
     node's mask and the value masks.  Groups are summed in the order of
     their lowest row, the order in which a scan of the node's rows first
-    meets their values, so every gain is the one ``information_gain`` gives.
-    A column constant on a node is constant below it and is not scored
-    there again.  A column with exactly two groups on the parent node
+    meets their values, so every gain is the one ``column_information_gain``
+    gives on the node's rows.  A column constant on a node is constant below
+    it and is not scored there again.  A column with exactly two groups on the parent node
     splits a node with one AND: the groups partition the parent, so the
     second group is the node's rows outside the first, and its size and
     positive count are the node's totals minus the first group's, integer

@@ -51,7 +51,7 @@ from kbfg.features import (
     BaseFeature,
     ClassifierFeature,
     Feature,
-    evaluate_feature,
+    evaluate_feature,  # not called here; perfbench/tracer.py requires this binding
 )
 from kbfg.kb import KnowledgeBase
 from kbfg.learners import LEARNER_KINDS, train_model
@@ -245,10 +245,3 @@ def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],
                 seen_names.add(new.name)
                 out.append(new)
     return out
-
-
-def apply_generated(feature: ClassifierFeature, x, kb: KnowledgeBase) -> int:
-    """The induced feature's label for one example (composition of model and inner)."""
-    if not isinstance(feature, ClassifierFeature):
-        raise TypeError("apply_generated expects an induced classifier feature")
-    return int(evaluate_feature(feature, x, kb))

@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from kbfg.aggregators import any_aggregate, majority_aggregate
-from kbfg.data import Dataset, materialize
+from kbfg.aggregators import fired_targets
+from kbfg.data import Dataset, FeatureMatrix, materialize
 from kbfg.deep import DeepConfig, deep_generate
 from kbfg.features import (
     BaseFeature,
@@ -21,8 +21,8 @@ from kbfg.features import (
     serialize_feature,
 )
 from kbfg.harness import HarnessConfig, base_features, run_experiment
-from kbfg.learners import accuracy, information_gain, train_decision_tree
-from kbfg.recursive import GenerationConfig, apply_generated, generate_features
+from kbfg.learners import accuracy, column_information_gain, train_decision_tree
+from kbfg.recursive import GenerationConfig, generate_features
 from kbfg.stats import friedman_test, paired_t_test
 from kbfg.synth import ScenarioSpec, gen_disorder_scenario, gen_random_tasks
 from kbfg.data import Example
@@ -120,7 +120,8 @@ def test_criterion_3_information_gain_oracle():
         assignment = [rng.randrange(k) for _ in range(n)]
         groups = [[i for i, a in enumerate(assignment) if a == g] for g in range(k)]
         groups = [g for g in groups if g]
-        worst = max(worst, abs(information_gain(labels, groups)
+        column = FeatureMatrix([[a] for a in assignment], labels, ["group"])
+        worst = max(worst, abs(column_information_gain(column, 0)
                                - oracle(labels, groups)))
     verdict(3, worst < 1e-9,
             f"information gain matches brute-force entropy oracle on 1000 "
@@ -133,13 +134,12 @@ def test_criterion_4_aggregator_properties():
     ok = True
     for _ in range(10_000):
         values = [rng.choice(alphabet) for _ in range(rng.randrange(0, 8))]
-        fired = sum(majority_aggregate(values, v) for v in alphabet)
-        if fired != (1 if values else 0):
+        fired = fired_targets("majority", values)
+        if len(fired) != (1 if values else 0) or not fired <= set(values):
             ok = False
             break
         extra = [rng.choice(alphabet) for _ in range(rng.randrange(0, 4))]
-        target = rng.choice(alphabet)
-        if any_aggregate(values + extra, target) < any_aggregate(values, target):
+        if not fired_targets("any", values) <= fired_targets("any", values + extra):
             ok = False
             break
     verdict(4, ok, "majority fires exactly once and any is monotone on "
@@ -167,17 +167,17 @@ def test_criterion_5_composition_identity(disorder_runs, random_task_runs):
     for r in runs:
         for f in r["generated"]:
             for x in r["train"].examples:
-                assert apply_generated(f, x, r["kb"]) == \
+                assert int(evaluate_feature(f, x, r["kb"])) == \
                     _expected_application(f, x, r["kb"])
                 checked += 1
     for r in random_task_runs:
         kb = r["task"].kb
         for f in r["generated"]:
             for x in r["task"].train.examples:
-                assert apply_generated(f, x, kb) == _expected_application(f, x, kb)
+                assert int(evaluate_feature(f, x, kb)) == _expected_application(f, x, kb)
                 checked += 1
     verdict(5, checked > 0,
-            f"apply_generated equals classifier-of-inner-value pointwise on "
+            f"an induced feature equals classifier-of-inner-value pointwise on "
             f"{checked} (feature, example) pairs")
 
 

@@ -1,10 +1,12 @@
-"""Byte-identity pins for the `generate` and `deep` outputs.
+"""Byte-identity pins for the `generate`, `deep` and `eval` outputs.
 
 Each digest is the SHA-256 of a document dumped the way the CLI writes it
 (``json.dumps(..., indent=2, sort_keys=True)``): the `generate` feature
-document with its filtering summary, and the `deep` feature document and
-per-depth report.  A change that alters any of these bytes must say so and
-give the diff before the digest is updated.
+document with its filtering summary, the `deep` feature document and
+per-depth report, and the `eval` result.  The table `kbfg eval` prints,
+MAA lines included, is pinned by the digest of its text.  A change that
+alters any of these bytes must say so and give the diff before the digest
+is updated.
 """
 
 import hashlib
@@ -14,7 +16,8 @@ import pytest
 
 from kbfg.deep import DeepConfig, deep_generate
 from kbfg.features import features_to_document
-from kbfg.harness import base_features
+from kbfg.harness import HarnessConfig, base_features, run_experiment
+from kbfg.learners import LEARNER_KINDS, cross_validate
 from kbfg.recursive import GenerationConfig, GenerationStats, generate_features
 from kbfg.synth import ScenarioSpec, gen_disorder_scenario
 
@@ -34,6 +37,14 @@ GOLDEN = {
         "deep": "03193913a3deb25226b201237ca68ebb05b88f0bf5de637bf50b60fcc3b7e75b",
         "deep_report": "9ccf26360bffab2af200340bf16d5625ebc7466e21614bf65fffe1e919086c1e",
     },
+}
+
+
+# `eval` on screening-seed1 with every method and learner, over EVAL_FOLDS folds
+EVAL_FOLDS = 3
+EVAL_GOLDEN = {
+    "json": "ca384bce59783858d8057d0691dd4d8c1d948f77a3da76576078d7d4054c0479",
+    "text": "1d086e4f76c48e00f2bed119ea5786a704dc3fb7dec4868f66372b77868f38bf",
 }
 
 
@@ -57,3 +68,22 @@ def output_digests(spec: ScenarioSpec) -> dict:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_outputs_match_golden_digests(name):
     assert output_digests(SCENARIOS[name]) == GOLDEN[name]
+
+
+@pytest.fixture(scope="module")
+def screening_eval():
+    train, _, kb, _ = gen_disorder_scenario(SCENARIOS["screening-seed1"])
+    result = run_experiment({"screening-seed1": train}, kb, HarnessConfig(folds=EVAL_FOLDS))
+    return train, kb, result
+
+
+def test_eval_matches_golden_digests(screening_eval):
+    _, _, result = screening_eval
+    assert {"json": _digest(result.to_json()),
+            "text": hashlib.sha256(result.to_text().encode()).hexdigest()} == EVAL_GOLDEN
+
+
+def test_maa_is_max_over_learners(screening_eval):
+    train, kb, result = screening_eval
+    accs = cross_validate(train, base_features(train), kb, LEARNER_KINDS, EVAL_FOLDS, 0)
+    assert result.maa("screening-seed1") == max(sum(a) / len(a) for a in accs.values())

@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,6 @@ from kbfg.harness import (
     ExperimentResult,
     HarnessConfig,
     base_features,
-    maa,
     method_generator,
     run_experiment,
 )
@@ -76,6 +76,28 @@ def test_duplicate_methods_or_learners_rejected(field):
     values = {"methods": ("baseline", "expand", "baseline"), "learners": ("tree", "tree")}
     with pytest.raises(ValueError, match="duplicate"):
         HarnessConfig(**{field: values[field]})
+
+
+@pytest.mark.parametrize("field", ["methods", "learners"])
+def test_empty_methods_or_learners_rejected(field):
+    with pytest.raises(ValueError, match=f"no {field}"):
+        HarnessConfig(**{field: ()})
+
+
+def test_maa_is_printed_under_each_table_when_the_baseline_ran():
+    datasets = {"a": plain_ds(), "b": plain_ds()}
+    cfg = HarnessConfig(methods=("baseline", "expand"), learners=("tree", "knn"), folds=2)
+    res = run_experiment(datasets, EMPTY_KB, cfg)
+    lines = res.to_text().splitlines()
+    for name in datasets:
+        assert res.maa(name) == max(res.cell(name, l, "baseline").mean for l in cfg.learners)
+        table = lines.index(f"dataset: {name}")
+        assert lines[table + 5] == f"MAA: {res.maa(name):.3f}"  # title, header, rule, 2 rows
+
+    no_baseline = run_experiment(datasets, EMPTY_KB, replace(cfg, methods=("expand",)))
+    with pytest.raises(ValueError, match="'a'"):
+        no_baseline.maa("a")
+    assert "MAA" not in no_baseline.to_text()
 
 
 def test_identical_methods_report_no_difference():
@@ -152,23 +174,6 @@ def test_fold_assignments_identical_across_methods():
     folds_a = stratified_folds(train.labels, 5, 9)
     folds_b = stratified_folds(train.labels, 5, 9)
     assert folds_a == folds_b
-
-
-def test_maa_is_max_over_learners():
-    train, _, kb, _ = small_scenario()
-    per_learner = []
-    for kind in ("tree", "knn", "linear"):
-        accs = cross_validate(train, base_features(train), kb, [kind], 5, 0)[kind]
-        per_learner.append(sum(accs) / len(accs))
-    got = maa(train, kb, folds=5)
-    assert got == pytest.approx(max(per_learner))
-    assert all(got >= v for v in per_learner)
-
-
-def test_maa_constant_labels_is_one():
-    examples = [Example(f"e{i}", 1, {"col": f"v{i % 3}"}) for i in range(8)]
-    ds = Dataset(examples, [("col", "col")])
-    assert maa(ds, EMPTY_KB, folds=2) == 1.0
 
 
 def test_accuracies_in_unit_interval():

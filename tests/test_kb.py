@@ -161,12 +161,13 @@ def test_applicable_threshold_one_is_subject_superset(inputs, values):
 def test_lookup_union_is_object_column(inputs):
     kb = load_kb(inputs[1], inputs[0])
     for rel in kb.relations.values():
+        objects = set().union(*rel.index.values())
         union = set()
-        for s in rel.subjects:
+        for s in rel.index:
             objs = kb.lookup(rel.name, s)
-            assert objs <= rel.objects()
+            assert objs <= objects
             union |= objs
-        assert union == set(rel.objects())
+        assert union == objects
 
 
 # fields near the valid ones: declared names, both kinds, blanks and stray whitespace

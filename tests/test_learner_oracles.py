@@ -181,7 +181,7 @@ def test_lazy_row_predicts_as_eager_row(kind):
               [ClassifierFeature(f.inner, f.model, f.value_features + (extra,)) for f in tops]
     tokens = {x.assignment["surname"] for x in train.examples + test.examples}
     for rel in kb.relations.values():
-        tokens |= rel.subjects | rel.objects()
+        tokens |= set(rel.index).union(*rel.index.values())
     cases = [(f, tok) for f in tops + nested + resized
              for tok in sorted(tokens) + ["not-in-the-kb"]]
     lazy = [predict_on_token(f, tok, kb) for f, tok in cases]

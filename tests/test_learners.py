@@ -11,9 +11,8 @@ from kbfg.kb import load_kb
 from kbfg.learners import (
     TrainConfig,
     accuracy,
+    column_information_gain,
     cross_validate,
-    entropy,
-    information_gain,
     majority_label,
     model_from_json,
     stratified_folds,
@@ -46,26 +45,29 @@ def oracle_ig(labels, groups):
     return total - rest
 
 
+def partition_gain(labels, groups):
+    """IG of `labels` split by `groups` (a partition of the row indices), read
+    as one column whose value at each row is its group's number."""
+    column = [None] * len(labels)
+    for g, rows in enumerate(groups):
+        for i in rows:
+            column[i] = g
+    return column_information_gain(FeatureMatrix([[v] for v in column], list(labels), ["g"]), 0)
+
+
 def test_ig_perfect_split():
-    assert information_gain([1, 1, 0, 0], [[0, 1], [2, 3]]) == pytest.approx(1.0)
+    assert partition_gain([1, 1, 0, 0], [[0, 1], [2, 3]]) == pytest.approx(1.0)
 
 
 def test_ig_uninformative_split():
-    assert information_gain([1, 1, 0, 0], [[0, 2], [1, 3]]) == pytest.approx(0.0)
+    assert partition_gain([1, 1, 0, 0], [[0, 2], [1, 3]]) == pytest.approx(0.0)
 
 
 def test_ig_derived_value():
     # H(3/4) - 0.5*H(1/2), frozen from the entropy oracle
-    got = information_gain([1, 1, 1, 0], [[0, 1], [2, 3]])
+    got = partition_gain([1, 1, 1, 0], [[0, 1], [2, 3]])
     assert got == pytest.approx(0.3112781244591328, abs=1e-12)
     assert got == pytest.approx(oracle_ig([1, 1, 1, 0], [[0, 1], [2, 3]]), abs=1e-12)
-
-
-def test_ig_requires_exact_cover():
-    with pytest.raises(ValueError):
-        information_gain([0, 1], [[0]])
-    with pytest.raises(ValueError):
-        information_gain([0, 1], [[0, 1], [1]])
 
 
 @st.composite
@@ -81,14 +83,17 @@ def labeled_partitions(draw):
 @given(labeled_partitions())
 def test_ig_bounds_and_oracle(case):
     labels, groups = case
-    got = information_gain(labels, groups)
-    assert -1e-12 <= got <= entropy(labels) + 1e-12
+    got = partition_gain(labels, groups)
+    # the entropy of the labels is the gain of the split into single rows
+    entropy = partition_gain(labels, [[i] for i in range(len(labels))])
+    assert entropy == pytest.approx(oracle_entropy(labels), abs=1e-9)
+    assert -1e-12 <= got <= entropy + 1e-12
     assert got == pytest.approx(oracle_ig(labels, groups), abs=1e-9)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=30))
 def test_ig_trivial_partition_is_zero(labels):
-    assert information_gain(labels, [list(range(len(labels)))]) == pytest.approx(0.0)
+    assert partition_gain(labels, [list(range(len(labels)))]) == pytest.approx(0.0)
 
 
 def matrix(rows, labels):

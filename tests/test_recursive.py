@@ -17,7 +17,6 @@ from kbfg.learners import TreeModel, TreeNode
 from kbfg.recursive import (
     GenerationConfig,
     GenerationStats,
-    apply_generated,
     create_new_problem,
     generate_features,
 )
@@ -168,7 +167,7 @@ def test_depth1_feature_composes_classifier_on_surname():
         expected = feat.model.predict(
             [evaluate_feature(vf, Example("t", 0, {VALUE_COLUMN: surname}), kb)
              for vf in feat.value_features])
-        assert apply_generated(feat, x, kb) == expected
+        assert int(evaluate_feature(feat, x, kb)) == expected
 
 
 def test_depth2_recovers_climate_conjunction():
@@ -194,13 +193,13 @@ def test_depth2_recovers_climate_conjunction():
                                    GenerationConfig(depth=d, min_recursive_size=8))
         for i, (c, temp, prec, want) in enumerate(probe):
             x = Example(f"probe{i}", want, {"surname": f"new{i}"})
-            assert apply_generated(feat, x, kb) == want, (d, c, temp, prec)
+            assert int(evaluate_feature(feat, x, kb)) == want, (d, c, temp, prec)
 
     # without extension the surname model sees only the raw country column,
     # whose singleton groups are inadmissible splits: no probe generalization
     [d0] = generate_features(ds, [BaseFeature("surname")], kb,
                              GenerationConfig(depth=0, min_recursive_size=8))
-    hits_d0 = sum(apply_generated(d0, Example(f"q{i}", w, {"surname": f"new{i}"}), kb) == w
+    hits_d0 = sum(int(evaluate_feature(d0, Example(f"q{i}", w, {"surname": f"new{i}"}), kb)) == w
                   for i, (_, _, _, w) in enumerate(probe))
     assert hits_d0 < 3
 
@@ -221,7 +220,7 @@ def test_apply_generated_missing_gives_default_class():
     [feat] = generate_features(ds, [BaseFeature("surname")], kb,
                                GenerationConfig(depth=1, min_recursive_size=8))
     x = Example("m", 0, {"surname": None})
-    assert apply_generated(feat, x, kb) == feat.model.default_class
+    assert int(evaluate_feature(feat, x, kb)) == feat.model.default_class
 
 
 @pytest.mark.parametrize("read", [0, 1])
@@ -234,10 +233,11 @@ def test_only_cells_the_model_reads_are_evaluated(read):
     feat = ClassifierFeature(BaseFeature("surname"), TreeModel(root, 0, 2), (known, undeclared))
     x = Example("q", 1, {"surname": "s00"})
     if read == 0:
-        assert apply_generated(feat, x, kb) == 1  # the undeclared relation is never looked up
+        # the undeclared relation is never looked up
+        assert int(evaluate_feature(feat, x, kb)) == 1
     else:
         with pytest.raises(KBError, match="capitalOf"):
-            apply_generated(feat, x, kb)
+            evaluate_feature(feat, x, kb)
 
 
 def test_filtering_monotone_in_min_size():
@@ -300,7 +300,7 @@ def test_set_valued_source_partitions_by_type():
     # outvote the lone out-of-type entity whatever the fallback routing does
     [city_feat] = [f for f in feats if f.partition_type == "city"]
     for x in docs:
-        assert apply_generated(city_feat, x, kb) == x.label
+        assert int(evaluate_feature(city_feat, x, kb)) == x.label
 
 
 def test_stats_accounting_identity():

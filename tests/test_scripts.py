@@ -1,7 +1,7 @@
 """Subprocess runs: the experiment scripts, which no other test imports, and
 the command line under different string-hash seeds; the bench script's
 bookkeeping, with its benchmark runs replaced; and the benchmark tracer:
-its patching of the kbfg bindings, and one traced op of each generating
+its patching of the kbfg bindings, and one traced load and op of each
 workload."""
 
 import importlib.util
@@ -32,6 +32,22 @@ def test_script_rejects_no_seeds(script):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert "--seeds must be at least 1" in done.stderr and not done.stdout
+
+
+@pytest.mark.parametrize("script,option,value,message", [
+    ("depth_profile.py", "--n-surnames", "5", "need at least 16 training surnames"),
+    ("depth_profile.py", "--n-surnames", "0", "need at least 16 training surnames"),
+    ("depth_profile.py", "--min-node-size", "1", "min_node_size must be >= 2"),
+    ("depth_profile.py", "--depth", "-1", "depth must be >= 0"),
+    ("run_screening_experiment.py", "--depth", "-1", "depth must be >= 0"),
+])
+def test_script_rejects_a_bad_option_before_any_seed_runs(script, option, value, message):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--seeds", "1",
+                           f"{option}={value}"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert message in done.stderr and not done.stdout
 
 
 def run_cli(out, hash_seed):
@@ -156,10 +172,11 @@ def test_tracer_counts_a_duplicate_candidate_as_filtered(perfbench):
     assert t.metrics(1)["recursive.candidates_generated"] == 1
 
 
-@pytest.mark.parametrize("workload", ["cv-grid", "kb-distractors"])
+@pytest.mark.parametrize("workload", ["cv-grid", "kb-distractors", "apply-doc"])
 def test_traced_op_reads_every_required_figure_and_the_recorded_digests(tmp_path, perfbench,
                                                                         workload):
-    """One default-seed op under the tracer, as `perfbench/run.py --trace 1` times it."""
+    """One traced load and one traced default-seed op, as `perfbench/run.py --trace 1`
+    times them: the load figures come from the load, the rest from the op."""
     run = perfbench("run")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--prepare",
@@ -168,14 +185,26 @@ def test_traced_op_reads_every_required_figure_and_the_recorded_digests(tmp_path
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     wl = perfbench("workloads").WORKLOADS[workload]
-    state, refs = wl.setup(str(tmp_path)), wl.references(str(tmp_path))
     t = perfbench("tracer").Tracer()
+    t.install()
+    try:
+        state = wl.setup(str(tmp_path))
+    finally:
+        t.restore()
+    setup_metrics = t.metrics(1)
+    t.reset()
+    refs = wl.references(str(tmp_path))
     t.install()
     try:
         result = wl.run(state, refs, 0, run.DEFAULT_SEED)
     finally:
         t.restore()
     metrics = t.metrics(1)
-    assert [name for name in run.REQUIRED[workload] if not metrics[name] > 0] == []
+    for name in metrics:
+        if name.rsplit(".", 1)[0] in run.SETUP_SPANS:
+            metrics[name] = setup_metrics[name]
+    required = run.REQUIRED[workload] + ("kb.load_kb.s", "data.load_dataset.s")
+    assert [name for name in required if not metrics[name] > 0] == []
     assert result.problems == []
-    assert result.digests == json.loads(run.EXPECTED_PATH.read_text())[workload]
+    assert {**wl.input_digests(str(tmp_path)), **result.digests} == \
+        json.loads(run.EXPECTED_PATH.read_text())[workload]
