@@ -32,8 +32,8 @@ from kbfg.recursive import GenerationConfig, GenerationStats, generate_features
 from kbfg.synth import VARIANTS, ScenarioSpec, gen_disorder_scenario, gen_random_tasks
 
 
-def _add_kb_args(p: argparse.ArgumentParser, nargs: str | None = None) -> None:
-    p.add_argument("--data", nargs=nargs, required=True, help="dataset JSON-lines file")
+def _add_kb_args(p: argparse.ArgumentParser, **data) -> None:
+    p.add_argument("--data", **data, required=True, help="dataset JSON-lines file")
     p.add_argument("--kb-schema", required=True, help="relation schema TSV")
     p.add_argument("--kb-triples", required=True, help="triples TSV")
 
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="also write the report JSON here")
 
     p = command("eval", "compare methods x learners", cmd_eval, _eval_config)
-    _add_kb_args(p, nargs="+")
+    _add_kb_args(p, action="extend", nargs="+")  # `--data a --data b` keeps both
     _add_gen_args(p)
     p.add_argument("--methods", type=lambda text: text.split(","))
     p.add_argument("--learners", type=lambda text: text.split(","))

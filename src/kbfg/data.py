@@ -24,7 +24,8 @@ A ``FeatureMatrix`` also holds each column's rows grouped by value, as
 once per column, and ``materialize`` hands over those of every aggregator
 column, taken from the examples each target fires on while it fills the
 family.  The tree, information gain, ``deep``'s split and derived problems
-all read a column's groups from there.
+all read a column's groups from there, and both generators read a source's
+observed values from its groups' keys.
 """
 
 from __future__ import annotations
@@ -205,11 +206,8 @@ class FeatureMatrix:
     _masks: Dict[int, Dict[FeatureValue, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def column(self, j: int) -> List[FeatureValue]:
-        return [row[j] for row in self.rows]
-
     def masks(self, j: int) -> Dict[FeatureValue, int]:
-        """``row_masks(self.column(j))``, built on first use; read it, do not change it."""
+        """``row_masks`` of column `j`, built on first use; read it, do not change it."""
         masks = self._masks.get(j)
         if masks is None:
             masks = self._masks[j] = row_masks(row[j] for row in self.rows)

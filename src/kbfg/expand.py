@@ -1,11 +1,12 @@
 """Label-agnostic feature generation by relational expansion.
 
-``relation_features`` is the relational step both generators share:
-function relations compose directly onto a feature, other relations spawn
-one binary aggregator feature per codomain value actually reached from the
-feature's observed values.  ``expand_features`` takes it for every existing
-feature, and the recursive generator for every derived problem, with the
-coverage threshold and aggregator family of one ``GenerationConfig``.
+``relation_features`` is the relational step both generators share: the
+relations covering a feature's observed values (of one departure type, if
+given) spawn new features.  Function relations compose directly onto the
+feature, others give one binary aggregator feature per codomain value
+reached from those values.  ``expand_features`` takes it for every existing
+feature, the recursive generator for every derived problem; both read the
+values from the keys of a materialized column's ``FeatureMatrix.masks``.
 Restricting the enumeration to reached codomain values keeps the output
 finite on large knowledge bases while preserving every feature
 distinguishable on the training data.
@@ -13,38 +14,35 @@ distinguishable on the training data.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Set
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from kbfg.aggregators import AggregatorInstance
-from kbfg.data import Dataset
+from kbfg.data import Dataset, materialize
+# evaluate_feature is not called here; perfbench/tracer.py requires this binding
 from kbfg.features import Feature, RelationFeature, evaluate_feature
-from kbfg.kb import KnowledgeBase, Relation
+from kbfg.kb import KnowledgeBase
 from kbfg.values import iter_atoms
 
 if TYPE_CHECKING:  # recursive imports this module
     from kbfg.recursive import GenerationConfig
 
 
-def observed_values(ds: Dataset, feature: Feature, kb: KnowledgeBase) -> List[str]:
-    """Distinct tokens the feature takes over the dataset (set members unpacked)."""
-    seen: Set[str] = set()
-    for x in ds.examples:
-        seen.update(iter_atoms(evaluate_feature(feature, x, kb)))
-    return sorted(seen)
-
-
-def relation_features(f: Feature, values: Sequence[str], relations: Sequence[Relation],
-                      family: str) -> List[Feature]:
-    """The features `relations` spawn over `f`, in their order: a function
-    relation composes onto `f`, any other gives one `family` indicator per
-    target reached from `f`'s `values`, in target order."""
+def relation_features(f: Feature, values: Sequence[str], kb: KnowledgeBase,
+                      cfg: GenerationConfig, departure_type: Optional[str] = None) -> List[Feature]:
+    """The features spawned over `f` by the relations that cover `values` at
+    `cfg`'s threshold (of `departure_type` only, if given), in name order: a
+    function relation composes onto `f`, any other gives one indicator of
+    `cfg`'s family per target reached from `values`, in target order."""
     out: List[Feature] = []
-    for rel in relations:
+    for rel in kb.applicable_relations(values, cfg.coverage_threshold):
+        if departure_type is not None and rel.departure_type != departure_type:
+            continue
         if rel.is_function:
             out.append(RelationFeature(f, rel.name))
         else:
             targets = set().union(*(rel.index.get(v, ()) for v in values))
-            out.extend(RelationFeature(f, rel.name, AggregatorInstance(family, target))
+            out.extend(RelationFeature(f, rel.name,
+                                       AggregatorInstance(cfg.aggregator_family, target))
                        for target in sorted(targets))
     return out
 
@@ -54,16 +52,18 @@ def expand_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
     """One pass of relational expansion over `features`.
 
     Output order is deterministic: input feature order, then relation name,
-    then codomain value.  Duplicate generated names are emitted once.
+    then codomain value.  No generated name is an input's or repeats.
     """
+    if not features:
+        return []
+    matrix = materialize(ds, features, kb)
     generated: List[Feature] = []
-    seen_names: Set[str] = set()
-    for f in features:
-        values = observed_values(ds, f, kb)
+    seen_names = {f.name for f in features}
+    for j, f in enumerate(features):
+        values = sorted({tok for v in matrix.masks(j) for tok in iter_atoms(v)})
         if not values:
             continue
-        rels = kb.applicable_relations(values, cfg.coverage_threshold)
-        for new in relation_features(f, values, rels, cfg.aggregator_family):
+        for new in relation_features(f, values, kb, cfg):
             if new.name not in seen_names:
                 seen_names.add(new.name)
                 generated.append(new)

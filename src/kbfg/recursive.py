@@ -4,16 +4,17 @@ For each source feature a derived induction problem is built: its objects
 are the distinct values the feature takes on the training examples, each
 labeled with the majority label of the examples carrying that value (ties
 to 0).  The derived problem's features come from relational expansion's
-own step, ``expand.relation_features``, over the relations applicable to
-those values; below the depth limit the generator recurses on the derived
-problem to extend that feature map.  A classifier trained on the derived
-problem is then composed back onto the source feature and emitted as a new
-feature for the original examples.
+own step, ``expand.relation_features``, which chooses the relations
+applicable to those values; below the depth limit the generator recurses on
+the derived problem to extend that feature map.  A classifier trained on
+the derived problem is then composed back onto the source feature and
+emitted as a new feature for the original examples.
 
 Set-valued sources contribute every member token as an object.  Their
 objects are first split into one candidate problem per knowledge-base
 departure type covering them, whose features come from the applicable
-relations of that type, and each surviving candidate emits its own feature.
+relations of that type (``relation_features`` given the type), and each
+surviving candidate emits its own feature.
 
 Each (example, feature) cell is evaluated once.  The caller's features are
 materialized once, or handed in by a caller that already holds their
@@ -22,10 +23,10 @@ Each derived problem is materialized once, before recursing: the same
 matrix gives the nested pass its source columns and, with only the columns
 of the features that pass adds evaluated and appended, is the classifier's
 training matrix.  A source enters ``create_new_problem`` as its column's
-row masks (``FeatureMatrix.masks``): the distinct values are the mask
-keys, and a token's majority label comes from the union of the masks of
-the values holding it, so the tree that trains on the same matrix reads
-the same groups.
+row masks (``FeatureMatrix.masks``), as ``expand_features`` reads its
+sources: the distinct tokens are those of the mask keys, and a token's
+majority label comes from the union of the masks of the values holding it,
+so the tree that trains on the same matrix reads the same groups.
 
 A candidate with fewer than ``min_recursive_size`` objects, a single object
 class, or no applicable relations is dropped; the objects are labelled only
@@ -166,10 +167,7 @@ def create_new_problem(f: Feature, ds: Dataset, masks: Mapping[FeatureValue, int
         elif len({label_of[v] for v in values}) == 1:
             status = "single_class"
         else:
-            rels = [r for r in kb.applicable_relations(values, cfg.coverage_threshold)
-                    if ptype in (None, r.departure_type)]
-            feats = relation_features(BaseFeature(VALUE_COLUMN), values, rels,
-                                      cfg.aggregator_family)
+            feats = relation_features(BaseFeature(VALUE_COLUMN), values, kb, cfg, ptype)
             if not feats:
                 status = "no_relations"
         if status is None:

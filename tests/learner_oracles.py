@@ -8,12 +8,15 @@ reads the row.  ``materialize`` evaluates every cell on its own,
 (node, column) and scores it with the guarded ``information_gain``, and
 ``create_new_problem`` labels every value before its size filter and
 carries its own copies of the helpers it used then (value labels, the
-per-type partition, the coverage test and the relational step).  They are
-the straightforward versions the library used before its lazy-shrink linear
+per-type partition, the coverage test and the relational step);
+``expand_features`` evaluates every source cell by cell
+(``observed_values``), picks relations with ``applicable_relations`` and
+spawns features with that same relational step.  They are the
+straightforward versions the library used before its lazy-shrink linear
 trainer, bitmask k-NN index, lazily evaluated model rows, per-family
-aggregator fill, bitmask tree, early size filter and shared relational
-step; the differential tests in ``test_learner_oracles.py`` require
-identical results from the library.
+aggregator fill, bitmask tree, early size filter, shared relational step
+and expansion sources read from a column's masks; the differential tests
+in ``test_learner_oracles.py`` require identical results from the library.
 
 ``load_kb`` and ``load_dataset`` are the loaders as they were before the
 lean triple loop, the paused collector and the schema-name set: the library
@@ -166,7 +169,7 @@ def groups_by_value(column: Sequence[FeatureValue]) -> Dict[FeatureValue, List[i
 
 def column_information_gain(matrix: FeatureMatrix, j: int) -> float:
     """IG of splitting the matrix's labels by column j's values (missing included)."""
-    groups = groups_by_value(matrix.column(j))
+    groups = groups_by_value([row[j] for row in matrix.rows])
     return information_gain(matrix.labels, groups.values())
 
 
@@ -254,6 +257,31 @@ def _expand_one(f: Feature, rel: Relation, values: List[str], kb: KnowledgeBase,
         codomain.update(rel.index.get(v, ()))
     return [RelationFeature(f, rel.name, AggregatorInstance(family, target))
             for target in sorted(codomain)]
+
+
+def observed_values(ds: Dataset, feature: Feature, kb: KnowledgeBase) -> List[str]:
+    """Distinct tokens the feature takes over the dataset (set members unpacked)."""
+    seen: Set[str] = set()
+    for x in ds.examples:
+        seen.update(iter_atoms(evaluate_feature(feature, x, kb)))
+    return sorted(seen)
+
+
+def expand_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
+                    cfg: GenerationConfig) -> List[Feature]:
+    """One pass of relational expansion; no generated name is an input's or repeats."""
+    generated: List[Feature] = []
+    seen_names: Set[str] = {f.name for f in features}
+    for f in features:
+        values = observed_values(ds, f, kb)
+        if not values:
+            continue
+        for rel in kb.applicable_relations(values, cfg.coverage_threshold):
+            for new in _expand_one(f, rel, values, kb, cfg.aggregator_family):
+                if new.name not in seen_names:
+                    seen_names.add(new.name)
+                    generated.append(new)
+    return generated
 
 
 def create_new_problem(f: Feature, ds: Dataset, column: Sequence[FeatureValue],

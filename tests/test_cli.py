@@ -158,6 +158,27 @@ def test_eval_names_datasets_by_their_directories(scenario_dir, tmp_path):
     assert sorted(json.loads(out.read_text())["cells"]) == ["other", "scen"]
 
 
+def test_eval_repeated_data_flag_keeps_every_path(scenario_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "train.jsonl").write_text((scenario_dir / "train.jsonl").read_text())
+    rest = [*kb_args(scenario_dir)[2:], "--folds", "3", "--learners", "tree",
+            "--methods", "baseline,expand"]
+    a, b = str(scenario_dir / "train.jsonl"), str(other / "train.jsonl")
+    stdout = []
+    for data in (["--data", a, b], ["--data", a, "--data", b]):
+        assert main(["eval", *data, *rest, "--out", str(tmp_path / "eval.json")]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+    assert "dataset: scen" in stdout[1] and "dataset: other" in stdout[1]
+    assert "friedman[tree]" in stdout[1]
+    # two repeated paths of one name are still a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--data", a, "--data", str(scenario_dir / "test.jsonl"), *rest])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--scenario", "disorder", "--desert-fraction", "2"],
                                    ["--scenario", "disorder", "--noise", "2"],
                                    ["--scenario", "disorder", "--noise", "-1"],

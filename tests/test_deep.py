@@ -103,7 +103,7 @@ def test_root_split_is_gender_and_orthogonality():
     best = select_feature(feats, feature_igs(materialize(train, feats, kb)))
     assert best == BaseFeature("gender")
     # within each child of the split, the split feature is constant: IG 0
-    column = materialize(train, [best], kb).column(0)
+    column = [row[0] for row in materialize(train, [best], kb).rows]
     for v in set(column):
         child = train.subset([i for i, c in enumerate(column) if c == v])
         assert feature_igs(materialize(child, [best], kb))[0] == pytest.approx(0.0)

@@ -2,7 +2,7 @@ from hypothesis import given, strategies as st
 
 from kbfg.aggregators import fired_targets
 from kbfg.data import Dataset, Example
-from kbfg.expand import expand_features, observed_values
+from kbfg.expand import expand_features
 from kbfg.features import BaseFeature
 from kbfg.kb import load_kb
 from kbfg.recursive import GenerationConfig
@@ -109,11 +109,30 @@ def test_no_duplicate_names():
     assert len(names) == len(set(names))
 
 
-def test_observed_values_unpacks_sets_and_skips_missing():
+def test_expand_unpacks_sets_and_skips_missing():
     examples = [
         Example("a", 0, {"entities": frozenset({"egypt", "poland"})}),
         Example("b", 1, {"entities": None}),
         Example("c", 0, {"entities": frozenset({"egypt"})}),
     ]
     ds = Dataset(examples, [("entities", "country")])
-    assert observed_values(ds, BaseFeature("entities"), KB) == ["egypt", "poland"]
+    # the observed values are egypt and poland, so borderOf covers them all
+    out = expand_features(ds, [BaseFeature("entities")], KB, ANY)
+    assert [f.name for f in out] == [
+        "borderOf(entities):any=germany",
+        "borderOf(entities):any=libya",
+        "borderOf(entities):any=sudan",
+    ]
+
+
+def test_no_generated_name_is_among_the_inputs():
+    examples = [Example("a", 0, {"surname": "nowak", "countryOf(surname)": "poland"}),
+                Example("b", 1, {"surname": "haddad", "countryOf(surname)": "egypt"})]
+    ds = Dataset(examples, [("surname", "surname"), ("countryOf(surname)", "country")])
+    feats = [BaseFeature("surname"), BaseFeature("countryOf(surname)")]
+    # the input column countryOf(surname) still expands on its own values
+    assert [f.name for f in expand_features(ds, feats, KB, ANY)] == [
+        "borderOf(countryOf(surname)):any=germany",
+        "borderOf(countryOf(surname)):any=libya",
+        "borderOf(countryOf(surname)):any=sudan",
+    ]

@@ -7,8 +7,10 @@ generated feature's model, given a row evaluated on demand, must predict as
 it does on the fully evaluated row.  On the generation hot path,
 ``materialize`` must build the matrix that evaluating every cell on its own
 builds, the bitmask tree the same ``to_json()`` as the list-grouping tree
-(gains tied within 1e-12 included), and ``create_new_problem`` the same
-problems and dropped-candidate records as labelling every value first.
+(gains tied within 1e-12 included), ``create_new_problem`` the same
+problems and dropped-candidate records as labelling every value first, and
+``expand_features`` the same features as evaluating every source cell by
+cell.
 """
 
 import random
@@ -23,6 +25,7 @@ import kbfg.learners
 import learner_oracles
 from kbfg.aggregators import FAMILIES, AggregatorInstance, fired_targets
 from kbfg.data import Dataset, Example, FeatureMatrix, materialize, row_masks
+from kbfg.expand import expand_features
 from kbfg.features import (
     BaseFeature,
     ClassifierFeature,
@@ -299,6 +302,17 @@ def feature_lists(draw):
     return draw(st.lists(st.one_of(aggregator, aggregator, other), min_size=1, max_size=14))
 
 
+@given(token_datasets(), st.lists(st.one_of(st.sampled_from([TOK, NOTHING]), inners()),
+                                  max_size=4),
+       st.sampled_from(FAMILIES), st.sampled_from([1.0, 0.5, 0.2]))
+def test_expand_features_identical_to_reference(ds, feats, family, coverage):
+    # inputs repeat, hold sets and missing values, and may already be a
+    # generated feature (g(tok)), which must not be generated again
+    cfg = GenerationConfig(aggregator_family=family, coverage_threshold=coverage)
+    assert expand_features(ds, feats, GEN_KB, cfg) == \
+        learner_oracles.expand_features(ds, feats, GEN_KB, cfg)
+
+
 @given(st.lists(st.sampled_from(LETTERS), max_size=8))
 def test_fired_targets_match_the_reference_aggregators(multiset):
     for family, reference in (("any", learner_oracles.any_aggregate),
@@ -314,7 +328,7 @@ def test_materialize_identical_to_reference(ds, feats):
     # `==` does not compare the masks a family fill hands over; they must be the
     # ones a scan of the column gives, in the same order
     for j in range(len(feats)):
-        assert list(m.masks(j).items()) == list(row_masks(m.column(j)).items())
+        assert list(m.masks(j).items()) == list(row_masks([row[j] for row in m.rows]).items())
 
 
 def test_family_makes_one_lookup_per_row_and_token(monkeypatch, evaluations):
