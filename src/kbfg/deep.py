@@ -28,6 +28,7 @@ gets a copy of its group's rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,7 +68,7 @@ class DepthStats:
 
     def row(self, depth: int) -> dict:
         def mean(xs):
-            return sum(xs) / len(xs) if xs else None
+            return math.fsum(xs) / len(xs) if xs else None
 
         summary = GenerationStats(self.records).summary()
         return {

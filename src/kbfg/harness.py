@@ -24,6 +24,7 @@ over the learners.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -66,8 +67,12 @@ class HarnessConfig:
 @dataclass
 class Cell:
     fold_accuracies: List[float]
-    mean: float
     t_vs_baseline: Optional[TTestResult] = None
+
+    @property
+    def mean(self) -> float:
+        """The mean fold accuracy, from an exactly rounded sum."""
+        return math.fsum(self.fold_accuracies) / len(self.fold_accuracies)
 
     def to_json(self) -> dict:
         return {
@@ -188,7 +193,7 @@ def run_experiment(datasets: Dict[str, Dataset], kb: KnowledgeBase,
             accs = cross_validate(ds, feats, kb, cfg.learners, cfg.folds, cfg.seed,
                                   method_generator(method, cfg, kb, feats))
             for learner, fold_accs in accs.items():
-                per_learner[learner][method] = Cell(fold_accs, sum(fold_accs) / len(fold_accs))
+                per_learner[learner][method] = Cell(fold_accs)
         for per_method in per_learner.values():
             baseline = per_method.get("baseline")
             if baseline is not None:

@@ -7,6 +7,10 @@ functional (at most one object per subject).  The pairs are stored once, as
 a forward index from subject to objects; the pair set is a view over it.
 The store is immutable after loading and safe for concurrent reads.
 
+A triples file is parsed as it is read, never held whole, and the load keeps
+one string object per distinct token: a subject or object that recurs, in
+one relation or across several, is stored once.
+
 File formats (UTF-8, a leading byte-order mark dropped, tab-separated,
 ``#`` comment lines and blank lines skipped):
 
@@ -142,6 +146,9 @@ def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> Know
 
     functions = {name for name, (_, _, fn) in decls.items() if fn}
     index: Dict[str, Dict[str, Set[str]]] = {name: {} for name in decls}
+    # one string per distinct token, local to this load (sys.intern would
+    # keep the tokens alive after the KB is gone)
+    share = {}.setdefault
     for lineno, line in _content_lines(triples_source):
         try:
             rel, subj, obj = line.split("\t")
@@ -157,6 +164,8 @@ def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> Know
             raise KBError(f"triples line {lineno}: undeclared relation {rel!r}")
         if not subj or not obj:
             raise KBError(f"triples line {lineno}: empty subject or object")
+        subj = share(subj, subj)
+        obj = share(obj, obj)
         objs = rel_index.get(subj)
         if objs is None:
             rel_index[subj] = {obj}
@@ -168,12 +177,12 @@ def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> Know
                     f"to both {prev!r} and {obj!r}")
             objs.add(obj)
 
-    relations = {
-        name: Relation(name, dep, cod, fn,
-                       {s: frozenset(objs) for s, objs in index[name].items()})
-        for name, (dep, cod, fn) in decls.items()
-    }
-    return KnowledgeBase(relations)
+    # each set becomes its frozenset in place, so the two never coexist
+    for rel_index in index.values():
+        for subj, objs in rel_index.items():
+            rel_index[subj] = frozenset(objs)
+    return KnowledgeBase({name: Relation(name, dep, cod, fn, index[name])
+                          for name, (dep, cod, fn) in decls.items()})
 
 
 def schema_lines(kb: KnowledgeBase) -> List[str]:
@@ -202,14 +211,16 @@ def save_kb(kb: KnowledgeBase, schema_path, triples_path) -> None:
         f.write("\n".join(triple_lines(kb)) + "\n")
 
 
-def _file_lines(path) -> List[str]:
+def load_kb_files(schema_path, triples_path) -> KnowledgeBase:
+    """`load_kb` on the schema file, read whole, and the triples file, parsed
+    as it is read: the first fault met in it, a bad line or a bad byte, is
+    the one raised."""
+    path = schema_path
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            return f.readlines()
+        with open(schema_path, encoding="utf-8-sig") as f:
+            schema = f.readlines()
+        path = triples_path
+        with open(triples_path, encoding="utf-8-sig") as f:
+            return load_kb(f, schema)
     except UnicodeDecodeError:
         raise KBError(f"{path}: not UTF-8 text") from None
-
-
-def load_kb_files(schema_path, triples_path) -> KnowledgeBase:
-    schema = _file_lines(schema_path)
-    return load_kb(_file_lines(triples_path), schema)

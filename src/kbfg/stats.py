@@ -100,8 +100,8 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     if n < 2:
         raise ValueError("need at least 2 pairs")
     diffs = [x - y for x, y in zip(a, b)]
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    mean = math.fsum(diffs) / n
+    var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
     if var <= 0.0:
         if all(d == 0 for d in diffs):
             return TTestResult(0.0, frozenset(), True, True, 0.0)
@@ -157,12 +157,9 @@ def friedman_test(accuracies: Sequence[Sequence[float]]) -> FriedmanResult:
         raise ValueError("need at least 2 methods")
     if any(len(row) != k for row in accuracies):
         raise ValueError("ragged accuracy matrix")
-    totals = [0.0] * k
-    for row in accuracies:
-        for j, r in enumerate(_average_ranks(row)):
-            totals[j] += r
-    mean_ranks = tuple(t / n for t in totals)
+    ranks = [_average_ranks(row) for row in accuracies]
+    mean_ranks = tuple(math.fsum(col) / n for col in zip(*ranks))
     center = (k + 1) / 2
-    stat = 12.0 * n / (k * (k + 1)) * sum((r - center) ** 2 for r in mean_ranks)
+    stat = 12.0 * n / (k * (k + 1)) * math.fsum((r - center) ** 2 for r in mean_ranks)
     sig = frozenset(alpha for alpha in ALPHAS if stat >= chi2_critical(k - 1, alpha))
     return FriedmanResult(stat, sig, mean_ranks)

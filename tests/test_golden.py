@@ -11,6 +11,7 @@ is updated.
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -86,4 +87,4 @@ def test_eval_matches_golden_digests(screening_eval):
 def test_maa_is_max_over_learners(screening_eval):
     train, kb, result = screening_eval
     accs = cross_validate(train, base_features(train), kb, LEARNER_KINDS, EVAL_FOLDS, 0)
-    assert result.maa("screening-seed1") == max(sum(a) / len(a) for a in accs.values())
+    assert result.maa("screening-seed1") == max(math.fsum(a) / len(a) for a in accs.values())

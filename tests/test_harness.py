@@ -45,6 +45,14 @@ def test_baseline_reproduces_cross_validate():
     assert res.cell("d", "tree", "baseline").fold_accuracies == direct
 
 
+def test_cell_mean_is_the_exactly_rounded_mean(monkeypatch):
+    # ten 0.1s sum to 0.9999999999999999 one addition at a time
+    monkeypatch.setattr("kbfg.harness.cross_validate",
+                        lambda ds, feats, kb, learners, *args: {l: [0.1] * 10 for l in learners})
+    cfg = HarnessConfig(methods=("baseline",), learners=("tree",), folds=2)
+    assert run_experiment({"d": plain_ds()}, EMPTY_KB, cfg).cell("d", "tree", "baseline").mean == 0.1
+
+
 def per_learner_experiment(ds, kb, cfg):
     """run_experiment's result rebuilt one learner and one method at a time."""
     feats = base_features(ds)
@@ -54,7 +62,7 @@ def per_learner_experiment(ds, kb, cfg):
         for method in cfg.methods:
             accs = cross_validate(ds, feats, kb, [learner], cfg.folds, cfg.seed,
                                   method_generator(method, cfg, kb, feats))[learner]
-            per_method[method] = Cell(accs, sum(accs) / len(accs))
+            per_method[method] = Cell(accs)
         for method, cell in per_method.items():
             if method != "baseline":
                 cell.t_vs_baseline = paired_t_test(cell.fold_accuracies,

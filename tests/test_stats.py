@@ -27,6 +27,13 @@ def test_constant_nonzero_diffs_degenerate_significant():
     assert math.isinf(r.t) and r.t > 0
 
 
+def test_constant_diffs_stay_degenerate_when_their_float_sum_is_inexact():
+    # ten 0.1s sum to 0.9999999999999999 one addition at a time
+    r = paired_t_test([0.1] * 10, [0.0] * 10)
+    assert r.degenerate and r.mean_diff == 0.1
+    assert r.significant_at == frozenset(ALPHAS)
+
+
 def test_five_pair_case_matches_formula_and_scipy():
     a = [0.80, 0.85, 0.90, 0.70, 0.75]
     b = [0.75, 0.80, 0.92, 0.66, 0.70]
