@@ -22,13 +22,14 @@ def one_seed(spec: ScenarioSpec, cfg: GenerationConfig):
     train, test, kb, _ = gen_disorder_scenario(spec)
     feats = base_features(train)
 
-    base_model = train_decision_tree(materialize(train, feats, kb))
-    base_acc = accuracy(base_model, materialize(test, feats, kb))
+    train_matrix, test_matrix = materialize(train, feats, kb), materialize(test, feats, kb)
+    base_acc = accuracy(train_decision_tree(train_matrix), test_matrix)
 
-    generated = generate_features(train, feats, kb, cfg)
-    full = feats + generated
-    model = train_decision_tree(materialize(train, full, kb))
-    gen_acc = accuracy(model, materialize(test, full, kb))
+    generated = generate_features(train, feats, kb, cfg, matrix=train_matrix)
+    if generated:
+        train_matrix.append_columns(materialize(train, generated, kb))
+        test_matrix.append_columns(materialize(test, generated, kb))
+    gen_acc = accuracy(train_decision_tree(train_matrix), test_matrix)
     return base_acc, gen_acc, len(generated)
 
 

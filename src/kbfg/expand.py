@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from kbfg.aggregators import AggregatorInstance
-from kbfg.data import Dataset, materialize
+from kbfg.data import Dataset, FeatureMatrix, materialize
 # evaluate_feature is not called here; perfbench/tracer.py requires this binding
 from kbfg.features import Feature, RelationFeature, evaluate_feature
 from kbfg.kb import KnowledgeBase
@@ -47,16 +47,27 @@ def relation_features(f: Feature, values: Sequence[str], kb: KnowledgeBase,
     return out
 
 
+def source_matrix(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
+                  matrix: Optional[FeatureMatrix]) -> FeatureMatrix:
+    """The columns of `features` on `ds`: `matrix`, checked to hold them, or evaluated here."""
+    if matrix is None:
+        return materialize(ds, features, kb)
+    if matrix.feature_names != [f.name for f in features] or matrix.labels != ds.labels:
+        raise ValueError("matrix must hold the columns of `features` on `ds`")
+    return matrix
+
+
 def expand_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
-                    cfg: GenerationConfig) -> List[Feature]:
+                    cfg: GenerationConfig, matrix: Optional[FeatureMatrix] = None) -> List[Feature]:
     """One pass of relational expansion over `features`.
 
     Output order is deterministic: input feature order, then relation name,
     then codomain value.  No generated name is an input's or repeats.
+    `matrix`, when given, holds the columns of `features` on `ds`; it is read, not changed.
     """
     if not features:
         return []
-    matrix = materialize(ds, features, kb)
+    matrix = source_matrix(ds, features, kb, matrix)
     generated: List[Feature] = []
     seen_names = {f.name for f in features}
     for j, f in enumerate(features):

@@ -5,9 +5,9 @@ stratified cross-validation with identical fold assignments across methods,
 so per-fold accuracies pair up.  Feature generation runs inside each
 training fold, and only there: the held-out fold neither contributes values
 nor labels to generation, which is what makes the accuracy delta an honest
-estimate of the generated features' utility.  Each (method, fold) runs
-generation once and builds its train and test matrices once; all learners
-are trained and scored on those same matrices.  The leak of generating on
+estimate of the generated features' utility.  Input columns are evaluated
+once per cross-validation, each fold's generator reads their training rows,
+and only generated columns are evaluated per fold.  The leak of generating on
 the whole dataset can still be measured outside the harness, by passing the
 features ``generate_features`` returns on the full dataset to
 ``cross_validate``.  Every dataset is checked before any fold runs: one
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from kbfg.data import Dataset, DatasetError
+from kbfg.data import Dataset, DatasetError, FeatureMatrix
 from kbfg.expand import expand_features
 from kbfg.features import BaseFeature, Feature
 from kbfg.kb import KnowledgeBase
@@ -152,18 +152,18 @@ def base_features(ds: Dataset) -> List[Feature]:
     return [BaseFeature(name) for name in ds.feature_names]
 
 
-def method_generator(method: str, cfg: HarnessConfig, kb: KnowledgeBase,
-                     features: Sequence[Feature]) -> Optional[Callable[[Dataset], List[Feature]]]:
-    """The per-training-set feature generator a method stands for."""
+def method_generator(method: str, cfg: HarnessConfig, kb: KnowledgeBase, features: Sequence[Feature]
+                     ) -> Optional[Callable[[Dataset, FeatureMatrix], List[Feature]]]:
+    """A method's generator over a training fold and its matrix of `features`."""
     gen = cfg.generation
     if method == "baseline":
         return None
     if method == "expand":
-        return lambda train_ds: expand_features(train_ds, features, kb, gen)
+        return lambda train_ds, matrix: expand_features(train_ds, features, kb, gen, matrix)
     if method in ("recursive_d1", "recursive_d2"):
         d = 1 if method == "recursive_d1" else 2
-        return lambda train_ds: generate_features(train_ds, features, kb,
-                                                  replace(gen, depth=d))
+        return lambda train_ds, matrix: generate_features(train_ds, features, kb,
+                                                          replace(gen, depth=d), matrix=matrix)
     raise ValueError(f"unknown method {method!r}")
 
 

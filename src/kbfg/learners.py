@@ -513,24 +513,25 @@ def cross_validate(ds: Dataset, features, kb, learner_kinds: Sequence[str], fold
     """Per-fold accuracies of each learner under seeded stratified cross-validation.
 
     Returns ``{kind: fold_accuracies}`` in the order of `learner_kinds`.
-    Each fold's features are generated and its train and test matrices
-    built once, and every learner is trained and scored on those same
-    matrices.  When `feature_generator` is given it is called with the
-    training-fold dataset only and must return extra features to append;
-    held-out examples never influence generation.
+    The input `features` are evaluated once, and each fold's train and test
+    matrices take their rows.  `feature_generator(train_ds, train_matrix)`
+    sees the training fold only and returns new features, whose columns are
+    evaluated on both sides of the fold and appended; every learner is
+    trained and scored on those two matrices.
     """
     if len(set(learner_kinds)) != len(learner_kinds):
         raise ValueError(f"duplicate learner kinds in {list(learner_kinds)}")
     fold_sets = stratified_folds(ds.labels, folds, seed)
+    matrix = materialize(ds, features, kb)
     accs: Dict[str, List[float]] = {kind: [] for kind in learner_kinds}
     for test_idx in fold_sets:
-        held_out = set(test_idx)
-        train_ds = ds.subset(i for i in range(len(ds)) if i not in held_out)
-        feats = list(features)
-        if feature_generator is not None:
-            feats = feats + list(feature_generator(train_ds))
-        train_matrix = materialize(train_ds, feats, kb)
-        test_matrix = materialize(ds.subset(test_idx), feats, kb)
+        train_idx = sorted(set(range(len(ds))) - set(test_idx))
+        train_ds, train_matrix = ds.subset(train_idx), matrix.subset(train_idx)
+        test_matrix = matrix.subset(test_idx)
+        generated = feature_generator(train_ds, train_matrix) if feature_generator else []
+        if generated:
+            train_matrix.append_columns(materialize(train_ds, generated, kb))
+            test_matrix.append_columns(materialize(ds.subset(test_idx), generated, kb))
         for kind in learner_kinds:
             model = train_model(kind, train_matrix)
             accs[kind].append(accuracy(model, test_matrix))

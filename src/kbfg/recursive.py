@@ -18,7 +18,7 @@ surviving candidate emits its own feature.
 
 Each (example, feature) cell is evaluated once.  The caller's features are
 materialized once, or handed in by a caller that already holds their
-columns (each ``deep`` node passes the rows it received from its parent).
+columns (a ``deep`` node its parent's rows, ``cross_validate`` a fold's).
 Each derived problem is materialized once, before recursing: the same
 matrix gives the nested pass its source columns and, with only the columns
 of the features that pass adds evaluated and appended, is the classifier's
@@ -46,7 +46,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from kbfg.aggregators import FAMILIES
 from kbfg.data import Dataset, Example, FeatureMatrix, materialize, row_masks
-from kbfg.expand import relation_features
+from kbfg.expand import relation_features, source_matrix
 from kbfg.features import (
     VALUE_COLUMN,
     BaseFeature,
@@ -202,18 +202,15 @@ def generate_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBas
     input feature order.
 
     `matrix`, when given, holds the columns of `features` on `ds` (a caller
-    that already evaluated them, such as a ``deep`` node); it is read, not
-    changed.  Without it the features are evaluated here.
+    that already evaluated them, such as a ``deep`` node or a fold of
+    ``cross_validate``); it is read, not changed.  Without it they are evaluated here.
     """
     cfg = cfg or GenerationConfig()
     stats = stats if stats is not None else GenerationStats()
     if not features:
         return []
-    if matrix is None:
-        matrix = materialize(ds, features, kb)
-    elif matrix.feature_names != [f.name for f in features] or matrix.labels != ds.labels:
-        raise ValueError("matrix must hold the columns of `features` on `ds`")
-    return _generate(ds, matrix, features, kb, cfg, cfg.depth, stats, level=0)
+    return _generate(ds, source_matrix(ds, features, kb, matrix), features, kb, cfg,
+                     cfg.depth, stats, level=0)
 
 
 def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],

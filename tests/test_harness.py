@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from kbfg.data import Dataset, DatasetError, Example
-from kbfg.features import serialize_feature
+from kbfg.data import Dataset, DatasetError, Example, materialize
+from kbfg.features import BaseFeature, RelationFeature, serialize_feature
 from kbfg.harness import (
     METHODS,
     Cell,
@@ -169,7 +169,8 @@ def test_expand_method_reads_the_harness_generation_config():
 
     def expand_names(**generation):
         cfg = HarnessConfig(generation=GenerationConfig(**generation))
-        return [f.name for f in method_generator("expand", cfg, kb, base_features(ds))(ds)]
+        gen = method_generator("expand", cfg, kb, base_features(ds))
+        return [f.name for f in fold_generation(gen, ds, kb)]
 
     assert expand_names() == []  # borderOf covers only half of the values
     assert expand_names(coverage_threshold=0.5, aggregator_family="majority") == [
@@ -195,6 +196,11 @@ def test_accuracies_in_unit_interval():
                 assert 0.0 <= acc <= 1.0
 
 
+def fold_generation(gen, train_ds, kb):
+    """`gen` called as `cross_validate` calls it, with the rows' matrix."""
+    return gen(train_ds, materialize(train_ds, base_features(train_ds), kb))
+
+
 def corrupt_fold_values(ds, fold_indices):
     out = copy.deepcopy(ds)
     for i in fold_indices:
@@ -210,10 +216,11 @@ def test_fold_scope_generation_ignores_held_out_fold():
                            base_features(train))
     probe = 1
     train_idx = [i for i in range(len(train)) if i not in set(folds[probe])]
-    normal = [serialize_feature(f) for f in gen(train.subset(train_idx))]
+    normal = [serialize_feature(f) for f in fold_generation(gen, train.subset(train_idx), kb)]
     # corrupting only the held-out fold's values must not move the features
     corrupted = corrupt_fold_values(train, folds[probe])
-    altered = [serialize_feature(f) for f in gen(corrupted.subset(train_idx))]
+    altered = [serialize_feature(f)
+               for f in fold_generation(gen, corrupted.subset(train_idx), kb)]
     assert normal == altered
 
 
@@ -223,10 +230,43 @@ def test_dataset_scope_generation_sees_every_fold():
     gen = method_generator("recursive_d1",
                            HarnessConfig(generation=GenerationConfig(depth=1)),
                            kb, base_features(train))
-    normal = [serialize_feature(f) for f in gen(train)]
+    normal = [serialize_feature(f) for f in fold_generation(gen, train, kb)]
     corrupted = corrupt_fold_values(train, folds[1])
-    altered = [serialize_feature(f) for f in gen(corrupted)]
+    altered = [serialize_feature(f) for f in fold_generation(gen, corrupted, kb)]
     assert normal != altered
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_cross_validation_evaluates_each_input_cell_once(evaluations, method):
+    train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
+    feats = base_features(train)
+    cfg = HarnessConfig(folds=5)
+    cross_validate(train, feats, kb, ["tree"], cfg.folds, cfg.seed,
+                   method_generator(method, cfg, kb, feats))
+    assert {(id(x), f.name): evaluations[id(x), f.name]
+            for x in train.examples for f in feats} == \
+        {(id(x), f.name): 1 for x in train.examples for f in feats}
+
+
+def test_fold_generator_reads_the_training_rows_of_the_input_matrix():
+    train, _, kb, _ = small_scenario()
+    feats = base_features(train)
+    folds = stratified_folds(train.labels, 4, seed=2)
+    handed = []
+
+    def recording(train_ds, matrix):
+        handed.append((train_ds, [list(row) for row in matrix.rows], list(matrix.labels),
+                       list(matrix.feature_names)))
+        return [RelationFeature(BaseFeature("surname"), "countryOf")]
+
+    cross_validate(train, feats, kb, ["tree"], 4, 2, recording)
+    assert len(handed) == len(folds)
+    for (train_ds, rows, labels, names), test_idx in zip(handed, folds):
+        held_out = {id(train.examples[i]) for i in test_idx}
+        assert len(train_ds) == len(train) - len(test_idx)
+        assert not held_out & {id(x) for x in train_ds.examples}
+        expected = materialize(train_ds, feats, kb)
+        assert (rows, labels, names) == (expected.rows, expected.labels, expected.feature_names)
 
 
 def test_friedman_reported_for_multiple_datasets():

@@ -2,6 +2,7 @@ import pytest
 
 from kbfg.data import Dataset, Example, materialize, row_masks
 from kbfg.deep import DeepConfig, deep_generate
+from kbfg.expand import expand_features
 from kbfg.features import (
     BaseFeature,
     ClassifierFeature,
@@ -332,14 +333,16 @@ def test_generation_evaluates_each_column_cell_once(evaluations):
 def test_generate_rejects_a_matrix_of_other_columns_or_examples():
     train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
     feats = base_features(train)
-    given = generate_features(train, feats, kb, matrix=materialize(train, feats, kb))
-    assert [serialize_feature(f) for f in given] == \
-        [serialize_feature(f) for f in generate_features(train, feats, kb)]
-    with pytest.raises(ValueError, match="matrix"):
-        generate_features(train, feats, kb, matrix=materialize(train, feats[::-1], kb))
-    with pytest.raises(ValueError, match="matrix"):
-        generate_features(train, feats, kb,
-                          matrix=materialize(train.subset(range(10)), feats, kb))
+    cfg = GenerationConfig()
+    for generate in (generate_features, expand_features):
+        given = generate(train, feats, kb, cfg, matrix=materialize(train, feats, kb))
+        assert given and [serialize_feature(f) for f in given] == \
+            [serialize_feature(f) for f in generate(train, feats, kb, cfg)]
+        with pytest.raises(ValueError, match="matrix"):
+            generate(train, feats, kb, cfg, matrix=materialize(train, feats[::-1], kb))
+        with pytest.raises(ValueError, match="matrix"):
+            generate(train, feats, kb, cfg,
+                     matrix=materialize(train.subset(range(10)), feats, kb))
 
 
 def test_generate_without_features_is_empty():
