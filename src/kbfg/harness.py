@@ -2,18 +2,21 @@
 
 For every (dataset, method, learner) cell the harness runs seeded
 stratified cross-validation with identical fold assignments across methods,
-so per-fold accuracies pair up.  Feature generation runs inside each
+so per-fold accuracies pair up: one ``cross_validate`` call per dataset
+runs every method on its folds.  Feature generation runs inside each
 training fold, and only there: the held-out fold neither contributes values
 nor labels to generation, which is what makes the accuracy delta an honest
 estimate of the generated features' utility.  Input columns are evaluated
-once per cross-validation, each fold's generator reads their training rows,
-and only generated columns are evaluated per fold.  The leak of generating on
-the whole dataset can still be measured outside the harness, by passing the
-features ``generate_features`` returns on the full dataset to
-``cross_validate``.  Every dataset is checked before any fold runs: one
-with no examples, no features, a single class or fewer examples than
-folds raises ``DatasetError`` naming it.  Learners train with their own
-defaults.
+once per dataset, each fold's generators read their training rows, and only
+generated columns are evaluated per (method, fold).  A fold's learners run
+once per distinct fold matrix: a method whose generated columns equal an
+earlier method's on the fold, or that generates nothing, shares its
+accuracies.  The leak of generating on the whole dataset can still be
+measured outside the harness, by passing the features ``generate_features``
+returns on the full dataset to ``cross_validate``.  Every dataset is
+checked before any fold runs: one with no examples, no features, a single
+class or fewer examples than folds raises ``DatasetError`` naming it.
+Learners train with their own defaults.
 
 Methods: ``baseline`` (no generation), ``expand`` (one relational
 expansion pass), ``recursive_d1`` / ``recursive_d2`` (recursive induction
@@ -188,12 +191,11 @@ def run_experiment(datasets: Dict[str, Dataset], kb: KnowledgeBase,
     cells: Dict[str, Dict[str, Dict[str, Cell]]] = {}
     for name, ds in datasets.items():
         feats = base_features(ds)
-        per_learner = cells[name] = {learner: {} for learner in cfg.learners}
-        for method in cfg.methods:
-            accs = cross_validate(ds, feats, kb, cfg.learners, cfg.folds, cfg.seed,
-                                  method_generator(method, cfg, kb, feats))
-            for learner, fold_accs in accs.items():
-                per_learner[learner][method] = Cell(fold_accs)
+        accs = cross_validate(ds, feats, kb,
+                              {m: method_generator(m, cfg, kb, feats) for m in cfg.methods},
+                              cfg.learners, cfg.folds, cfg.seed)
+        per_learner = cells[name] = {learner: {m: Cell(accs[m][learner]) for m in cfg.methods}
+                                     for learner in cfg.learners}
         for per_method in per_learner.values():
             baseline = per_method.get("baseline")
             if baseline is not None:

@@ -32,11 +32,12 @@ label with ties resolved to 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from kbfg.data import Dataset, FeatureMatrix, materialize, row_masks
 from kbfg.features import FeatureDocError, doc_field
@@ -356,6 +357,13 @@ def _encode(v: FeatureValue) -> str:
     return "s:" + "\x1f".join(sorted(v))
 
 
+@functools.lru_cache(maxsize=8)
+def shrink_table(lam: float, steps: int) -> Tuple[float, ...]:
+    """The regularisation shrink factor of each of `steps` steps at `lam`,
+    built once per (lam, steps) and shared, so it is a tuple."""
+    return tuple([1.0 - 1.0 / (lam * t) * lam for t in range(1, steps + 1)])
+
+
 def train_linear(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> LinearModel:
     cfg = cfg or TrainConfig()
     if not matrix.rows:
@@ -365,8 +373,7 @@ def train_linear(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None) -> Li
         return LinearModel({}, 0.0, default, constant=True)
 
     lam = cfg.regularization
-    steps = cfg.epochs * len(matrix.rows)
-    shrinks = [1.0 - 1.0 / (lam * t) * lam for t in range(1, steps + 1)]
+    shrinks = shrink_table(lam, cfg.epochs * len(matrix.rows))
     ids: Dict[Tuple[int, str], int] = {}       # (column, encoded value) -> key id
     rows = [[ids.setdefault((j, _encode(v)), len(ids)) for j, v in enumerate(row)]
             for row in matrix.rows]
@@ -508,31 +515,50 @@ def accuracy(model, matrix: FeatureMatrix) -> float:
     return hits / len(matrix.rows)
 
 
-def cross_validate(ds: Dataset, features, kb, learner_kinds: Sequence[str], folds: int = 10,
-                   seed: int = 0, feature_generator=None) -> Dict[str, List[float]]:
-    """Per-fold accuracies of each learner under seeded stratified cross-validation.
+def cross_validate(ds: Dataset, features, kb, generators: Mapping[str, Optional[Callable]],
+                   learner_kinds: Sequence[str], folds: int = 10,
+                   seed: int = 0) -> Dict[str, Dict[str, List[float]]]:
+    """Per-fold accuracies of each method's learners under seeded stratified
+    cross-validation, every method on the same folds.
 
-    Returns ``{kind: fold_accuracies}`` in the order of `learner_kinds`.
-    The input `features` are evaluated once, and each fold's train and test
-    matrices take their rows.  `feature_generator(train_ds, train_matrix)`
-    sees the training fold only and returns new features, whose columns are
-    evaluated on both sides of the fold and appended; every learner is
-    trained and scored on those two matrices.
+    `generators` maps each method to its feature generator, or to None.
+    Returns ``{method: {kind: fold_accuracies}}`` in the order of
+    `generators` and `learner_kinds`.  The input `features` are evaluated
+    once; each fold's base train and test matrices take their rows.
+    `generator(train_ds, train_matrix)` sees the training fold only and
+    returns new features, whose columns are evaluated on both sides of the
+    fold and appended.  A fold's learners run once per distinct fold matrix:
+    its methods share the base columns and labels, so the generated columns'
+    values on both sides key the accuracies (values, not names: features of
+    different names can give equal columns).  Learners are deterministic in
+    (rows, labels), so a method that matches an earlier one, or generates
+    nothing, reuses its accuracies exactly.
     """
     if len(set(learner_kinds)) != len(learner_kinds):
         raise ValueError(f"duplicate learner kinds in {list(learner_kinds)}")
     fold_sets = stratified_folds(ds.labels, folds, seed)
     matrix = materialize(ds, features, kb)
-    accs: Dict[str, List[float]] = {kind: [] for kind in learner_kinds}
+    accs = {method: {kind: [] for kind in learner_kinds} for method in generators}
     for test_idx in fold_sets:
         train_idx = sorted(set(range(len(ds))) - set(test_idx))
-        train_ds, train_matrix = ds.subset(train_idx), matrix.subset(train_idx)
-        test_matrix = matrix.subset(test_idx)
-        generated = feature_generator(train_ds, train_matrix) if feature_generator else []
-        if generated:
-            train_matrix.append_columns(materialize(train_ds, generated, kb))
-            test_matrix.append_columns(materialize(ds.subset(test_idx), generated, kb))
-        for kind in learner_kinds:
-            model = train_model(kind, train_matrix)
-            accs[kind].append(accuracy(model, test_matrix))
+        train_ds, test_ds = ds.subset(train_idx), ds.subset(test_idx)
+        base_train, base_test = matrix.subset(train_idx), matrix.subset(test_idx)
+        scored: Dict[tuple, List[float]] = {}   # generated cells, train and test -> accuracies
+        for method, generator in generators.items():
+            generated = generator(train_ds, base_train) if generator else []
+            train_matrix, test_matrix, key = base_train, base_test, ()
+            if generated:
+                train_new = materialize(train_ds, generated, kb)
+                test_new = materialize(test_ds, generated, kb)
+                key = (tuple(map(tuple, train_new.rows)), tuple(map(tuple, test_new.rows)))
+            if key not in scored:
+                if generated:
+                    train_matrix = base_train.subset(range(len(train_idx)))
+                    test_matrix = base_test.subset(range(len(test_idx)))
+                    train_matrix.append_columns(train_new)
+                    test_matrix.append_columns(test_new)
+                scored[key] = [accuracy(train_model(kind, train_matrix), test_matrix)
+                               for kind in learner_kinds]
+            for kind, acc in zip(learner_kinds, scored[key]):
+                accs[method][kind].append(acc)
     return accs

@@ -86,5 +86,6 @@ def test_eval_matches_golden_digests(screening_eval):
 
 def test_maa_is_max_over_learners(screening_eval):
     train, kb, result = screening_eval
-    accs = cross_validate(train, base_features(train), kb, LEARNER_KINDS, EVAL_FOLDS, 0)
+    accs = cross_validate(train, base_features(train), kb, {"baseline": None}, LEARNER_KINDS,
+                          EVAL_FOLDS, 0)["baseline"]
     assert result.maa("screening-seed1") == max(math.fsum(a) / len(a) for a in accs.values())

@@ -16,7 +16,7 @@ from kbfg.harness import (
     run_experiment,
 )
 from kbfg.kb import load_kb
-from kbfg.learners import LEARNER_KINDS, cross_validate, stratified_folds
+from kbfg.learners import LEARNER_KINDS, accuracy, cross_validate, stratified_folds
 from kbfg.recursive import GenerationConfig
 from kbfg.stats import paired_t_test
 from kbfg.synth import ScenarioSpec, gen_disorder_scenario
@@ -41,14 +41,16 @@ def test_baseline_reproduces_cross_validate():
     train, _, kb, _ = small_scenario()
     cfg = HarnessConfig(methods=("baseline",), learners=("tree",), folds=5, seed=3)
     res = run_experiment({"d": train}, kb, cfg)
-    direct = cross_validate(train, base_features(train), kb, ["tree"], 5, 3)["tree"]
+    direct = cross_validate(train, base_features(train), kb, {"baseline": None}, ["tree"], 5,
+                            3)["baseline"]["tree"]
     assert res.cell("d", "tree", "baseline").fold_accuracies == direct
 
 
 def test_cell_mean_is_the_exactly_rounded_mean(monkeypatch):
     # ten 0.1s sum to 0.9999999999999999 one addition at a time
     monkeypatch.setattr("kbfg.harness.cross_validate",
-                        lambda ds, feats, kb, learners, *args: {l: [0.1] * 10 for l in learners})
+                        lambda ds, feats, kb, generators, learners, *args:
+                        {m: {l: [0.1] * 10 for l in learners} for m in generators})
     cfg = HarnessConfig(methods=("baseline",), learners=("tree",), folds=2)
     assert run_experiment({"d": plain_ds()}, EMPTY_KB, cfg).cell("d", "tree", "baseline").mean == 0.1
 
@@ -60,8 +62,8 @@ def per_learner_experiment(ds, kb, cfg):
     for learner in cfg.learners:
         per_method = {}
         for method in cfg.methods:
-            accs = cross_validate(ds, feats, kb, [learner], cfg.folds, cfg.seed,
-                                  method_generator(method, cfg, kb, feats))[learner]
+            accs = cross_validate(ds, feats, kb, {method: method_generator(method, cfg, kb, feats)},
+                                  [learner], cfg.folds, cfg.seed)[method][learner]
             per_method[method] = Cell(accs)
         for method, cell in per_method.items():
             if method != "baseline":
@@ -238,11 +240,11 @@ def test_dataset_scope_generation_sees_every_fold():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_cross_validation_evaluates_each_input_cell_once(evaluations, method):
+    # every method in one run, `method` first: once per dataset, whichever runs first
     train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
     feats = base_features(train)
-    cfg = HarnessConfig(folds=5)
-    cross_validate(train, feats, kb, ["tree"], cfg.folds, cfg.seed,
-                   method_generator(method, cfg, kb, feats))
+    methods = (method,) + tuple(m for m in METHODS if m != method)
+    run_experiment({"d": train}, kb, HarnessConfig(methods=methods, learners=("tree",), folds=5))
     assert {(id(x), f.name): evaluations[id(x), f.name]
             for x in train.examples for f in feats} == \
         {(id(x), f.name): 1 for x in train.examples for f in feats}
@@ -259,7 +261,7 @@ def test_fold_generator_reads_the_training_rows_of_the_input_matrix():
                        list(matrix.feature_names)))
         return [RelationFeature(BaseFeature("surname"), "countryOf")]
 
-    cross_validate(train, feats, kb, ["tree"], 4, 2, recording)
+    cross_validate(train, feats, kb, {"recording": recording}, ["tree"], 4, 2)
     assert len(handed) == len(folds)
     for (train_ds, rows, labels, names), test_idx in zip(handed, folds):
         held_out = {id(train.examples[i]) for i in test_idx}
@@ -267,6 +269,56 @@ def test_fold_generator_reads_the_training_rows_of_the_input_matrix():
         assert not held_out & {id(x) for x in train_ds.examples}
         expected = materialize(train_ds, feats, kb)
         assert (rows, labels, names) == (expected.rows, expected.labels, expected.feature_names)
+
+
+@pytest.fixture
+def trainings(monkeypatch):
+    """The kind of each model `cross_validate` trains and scores, in order."""
+    scored = []
+
+    def recording(model, matrix):
+        scored.append(model.kind)
+        return accuracy(model, matrix)
+
+    monkeypatch.setattr("kbfg.learners.accuracy", recording)
+    return scored
+
+
+def test_a_fold_trains_once_per_distinct_fold_matrix(trainings):
+    # recursive_d2 generates recursive_d1's features in every fold of this scenario
+    train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
+    res = run_experiment({"d": train}, kb, HarnessConfig(learners=("tree",), folds=5))
+    assert len(trainings) == 15
+    assert res.cell("d", "tree", "recursive_d2").fold_accuracies == \
+        res.cell("d", "tree", "recursive_d1").fold_accuracies
+
+
+def test_a_method_that_generates_nothing_shares_the_baseline_accuracies(trainings):
+    train, _, kb, _ = small_scenario()
+    accs = cross_validate(train, base_features(train), kb,
+                          {"baseline": None, "empty": lambda train_ds, matrix: []},
+                          ["tree", "knn"], 4, 0)
+    assert trainings == ["tree", "knn"] * 4
+    assert accs["empty"] == accs["baseline"]
+
+
+def test_fold_matrices_that_differ_only_on_a_held_out_row_are_both_trained(trainings):
+    # "a" is the label; "b" copies it but for one example, which a fold holds out
+    labels = [i % 2 for i in range(8)]
+    flipped = 3
+    examples = [Example(f"e{i}", y, {"col": "x", "a": str(y),
+                                     "b": str(1 - y if i == flipped else y)})
+                for i, y in enumerate(labels)]
+    ds = Dataset(examples, [("col", "col")])
+    accs = cross_validate(ds, base_features(ds), EMPTY_KB,
+                          {"a": lambda train_ds, matrix: [BaseFeature("a")],
+                           "b": lambda train_ds, matrix: [BaseFeature("b")]},
+                          ["tree"], 2, 0)
+    fold = next(k for k, test_idx in enumerate(stratified_folds(labels, 2, 0))
+                if flipped in test_idx)
+    assert accs["a"]["tree"][fold] == 1.0
+    assert accs["b"]["tree"][fold] == 1.0 - 1 / 4
+    assert len(trainings) == 4
 
 
 def test_friedman_reported_for_multiple_datasets():

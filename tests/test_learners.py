@@ -15,6 +15,7 @@ from kbfg.learners import (
     cross_validate,
     majority_label,
     model_from_json,
+    shrink_table,
     stratified_folds,
     train_decision_tree,
     train_knn,
@@ -22,6 +23,7 @@ from kbfg.learners import (
 )
 
 EMPTY_KB = load_kb([], [])
+BASELINE = {"baseline": None}  # cross_validate with one method that generates nothing
 
 
 def oracle_entropy(labels):
@@ -273,10 +275,19 @@ def dataset_from(rows, labels):
     return Dataset(examples, [(n, n) for n in names])
 
 
+def test_shrink_table_is_built_once_and_equals_a_fresh_build():
+    lam, steps = TrainConfig().regularization, 50 * 7
+    fresh = [1.0 - 1.0 / (lam * t) * lam for t in range(1, steps + 1)]
+    table = shrink_table(lam, steps)
+    assert shrink_table(lam, steps) is table
+    assert list(table) == fresh
+
+
 def test_cv_constant_labels_all_ones():
     ds = dataset_from([["a"], ["b"], ["c"], ["d"]], [1, 1, 1, 1])
     for kind in ("tree", "knn", "linear"):
-        accs = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, [kind], folds=2, seed=0)[kind]
+        accs = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, BASELINE, [kind], folds=2,
+                              seed=0)["baseline"][kind]
         assert accs == [1.0, 1.0]
 
 
@@ -284,8 +295,10 @@ def test_cv_same_seed_is_identical():
     rows = [[v] for v in "aabbccddee"]
     labels = [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
     ds = dataset_from(rows, labels)
-    a = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, ["tree"], folds=5, seed=7)["tree"]
-    b = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, ["tree"], folds=5, seed=7)["tree"]
+    a = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, BASELINE, ["tree"], folds=5,
+                       seed=7)["baseline"]["tree"]
+    b = cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, BASELINE, ["tree"], folds=5,
+                       seed=7)["baseline"]["tree"]
     assert a == b
     assert stratified_folds(labels, 5, 7) == stratified_folds(labels, 5, 7)
 
@@ -293,13 +306,14 @@ def test_cv_same_seed_is_identical():
 def test_cv_rejects_more_folds_than_examples():
     ds = dataset_from([["a"], ["b"]], [0, 1])
     with pytest.raises(ValueError):
-        cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, ["tree"], folds=3, seed=0)
+        cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, BASELINE, ["tree"], folds=3, seed=0)
 
 
 def test_cv_rejects_duplicate_learners():
     ds = dataset_from([["a"], ["b"], ["c"], ["d"]], [0, 1, 0, 1])
     with pytest.raises(ValueError, match="duplicate"):
-        cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, ["tree", "tree"], folds=2, seed=0)
+        cross_validate(ds, [BaseFeature("f0")], EMPTY_KB, BASELINE, ["tree", "tree"], folds=2,
+                       seed=0)
 
 
 def test_stratified_folds_enumerated():
