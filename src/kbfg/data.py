@@ -88,6 +88,9 @@ def _parse_record(obj: dict, lineno: int, schema_names: Optional[Set[str]]) -> E
     for name, raw in feats.items():
         if schema_names is not None and name not in schema_names:
             raise DatasetError(f"line {lineno}: feature {name!r} not in schema header")
+        if type(raw) is str and raw:   # an atom, the common case: stored as it is
+            assignment[name] = raw
+            continue
         if raw is not None and not isinstance(raw, (str, list)):
             raise DatasetError(f"line {lineno}: feature {name!r} must be a string, "
                                f"an array of strings, or null")

@@ -14,6 +14,7 @@ distinguishable on the training data.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from kbfg.aggregators import AggregatorInstance
@@ -40,7 +41,7 @@ def relation_features(f: Feature, values: Sequence[str], kb: KnowledgeBase,
         if rel.is_function:
             out.append(RelationFeature(f, rel.name))
         else:
-            targets = set().union(*(rel.index.get(v, ()) for v in values))
+            targets = set().union(*map(rel.index.get, values, repeat(())))
             out.extend(RelationFeature(f, rel.name,
                                        AggregatorInstance(cfg.aggregator_family, target))
                        for target in sorted(targets))

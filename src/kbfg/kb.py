@@ -82,14 +82,13 @@ class KnowledgeBase:
         "every value is a subject" test, which real knowledge bases rarely
         satisfy; 1.0 recovers the strict test.
         """
-        vals = sorted(set(values))
+        vals = set(values)
         if not vals:
             raise ValueError("applicable_relations requires a non-empty value set")
         out = []
         for name in sorted(self.relations):
             rel = self.relations[name]
-            covered = sum(1 for v in vals if v in rel.index)
-            if covered / len(vals) >= coverage_threshold:
+            if len(rel.index.keys() & vals) / len(vals) >= coverage_threshold:
                 out.append(rel)
         return out
 
@@ -144,24 +143,30 @@ def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> Know
             raise KBError(f"schema line {lineno}: duplicate relation declaration {name!r}")
         decls[name] = (departure, codomain, kind == "fn")
 
-    functions = {name for name, (_, _, fn) in decls.items() if fn}
     index: Dict[str, Dict[str, Set[str]]] = {name: {} for name in decls}
     # one string per distinct token, local to this load (sys.intern would
     # keep the tokens alive after the KB is gone)
     share = {}.setdefault
-    for lineno, line in _content_lines(triples_source):
-        try:
-            rel, subj, obj = line.split("\t")
-        except ValueError:
-            n = len(line.split("\t"))
-            raise KBError(f"triples line {lineno}: expected 3 tab-separated fields, "
-                          f"got {n}") from None
-        rel = rel.strip()
-        subj = subj.strip()
-        obj = obj.strip()
-        rel_index = index.get(rel)
-        if rel_index is None:
-            raise KBError(f"triples line {lineno}: undeclared relation {rel!r}")
+    current = rel_index = is_function = None    # the relation of the last triple
+    for lineno, raw in enumerate(triples_source, start=1):
+        # one split per line; only a line whose first field is blank or starts
+        # with "#" may be a blank or comment line, which strip() tells
+        fields = raw.split("\t")
+        rel = fields[0].strip()
+        if not rel or rel[0] == "#" or len(fields) != 3:
+            content = raw.strip()
+            if not content or content[0] == "#":
+                continue
+            if len(fields) != 3:
+                raise KBError(f"triples line {lineno}: expected 3 tab-separated fields, "
+                              f"got {len(fields)}")
+        if rel != current:
+            rel_index = index.get(rel)
+            if rel_index is None:
+                raise KBError(f"triples line {lineno}: undeclared relation {rel!r}")
+            current, is_function = rel, decls[rel][2]
+        subj = fields[1].strip()
+        obj = fields[2].strip()
         if not subj or not obj:
             raise KBError(f"triples line {lineno}: empty subject or object")
         subj = share(subj, subj)
@@ -170,7 +175,7 @@ def load_kb(triples_source: Iterable[str], schema_source: Iterable[str]) -> Know
         if objs is None:
             rel_index[subj] = {obj}
         elif obj not in objs:
-            if rel in functions:
+            if is_function:
                 [prev] = objs
                 raise KBError(
                     f"triples line {lineno}: function relation {rel!r} maps {subj!r} "

@@ -14,7 +14,9 @@ label with ties resolved to 0.
   matrix (``FeatureMatrix.masks``, which ``materialize`` fills for relation
   families and builds for any other column on first use), a node is a
   mask, and group sizes and positive counts are bit counts, scored by the
-  same count-based gain core as ``column_information_gain``.
+  same count-based gain core as ``column_information_gain``.  A two-valued
+  column keeps its root masks all the way down, each node ANDs them with
+  its own mask, and a node scores each (size, positives) split once.
 * k-NN: Hamming distance over value vectors, distance ties to the lower
   stored row, vote ties to 0.  The model keeps one row bitmask per
   (column, value); a query adds up its matching masks in a bit-sliced
@@ -186,11 +188,17 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
     their lowest row, the order in which a scan of the node's rows first
     meets their values, so every gain is the one ``column_information_gain``
     gives on the node's rows.  A column constant on a node is constant below
-    it and is not scored there again.  A column with exactly two groups on the parent node
-    splits a node with one AND: the groups partition the parent, so the
+    it and is not scored there again.  A column with two groups passes its
+    masks down unchanged, since ``(m & parent) & node == m & node``, and a
+    node splits it with one AND: the groups partition the rows, so the
     second group is the node's rows outside the first, and its size and
     positive count are the node's totals minus the first group's, integer
-    arithmetic that leaves every gain bit-identical.
+    arithmetic that leaves every gain bit-identical.  Only the chosen split
+    builds the node's two groups.  A column of more groups passes down its
+    groups restricted to the node, so one left with two takes the AND below.
+    A two-group gain depends only on the node's counts and the first group's
+    (size, positives), so a node scores each such pair once, in a memo
+    dropped before its children are built.
     """
     cfg = cfg or TrainConfig()
     if not matrix.rows:
@@ -211,19 +219,22 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
 
         best_j, best_gain, best_groups = None, 0.0, None
         live = []                          # the columns not constant on this node
-        for j, groups in columns:
-            if len(groups) == 2:           # two groups partition the node: one AND splits it
-                (v, m), (w, _) = groups
-                a = m & node
+        gains = {}                         # (size, pos) of a two-group split -> its gain
+        for col in columns:
+            j, groups = col
+            if len(groups) == 2:           # two groups partition the rows: one AND splits the node
+                a = groups[0][1] & node
                 if not a or a == node:
                     continue
-                here = [(v, a), (w, node ^ a)]
-                live.append((j, here))
+                live.append(col)
                 size = a.bit_count()
                 if size < min_leaf or n - size < min_leaf:
                     continue  # split would create an undersized leaf
                 pos = (a & positive).bit_count()
-                counts = [(size, pos), (n - size, ones - pos)]
+                gain = gains.get((size, pos))
+                if gain is None:
+                    gain = gains[size, pos] = _gain(n, ones,
+                                                    [(size, pos), (n - size, ones - pos)])
             else:
                 here = [(v, m & node) for v, m in groups if m & node]
                 if len(here) < 2:
@@ -234,11 +245,16 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
                     continue
                 # in the order of their lowest row (two terms add alike either way)
                 counts = [c for _, c in sorted(zip([m & -m for _, m in here], counts))]
-            gain = _gain(n, ones, counts)
+                gain = _gain(n, ones, counts)
             if gain > best_gain + 1e-12:
-                best_j, best_gain, best_groups = j, gain, here
+                best_j, best_gain, best_groups = j, gain, live[-1][1]
+        del gains                          # not kept while the children are built
         if best_j is None:
             return TreeNode(label=node_majority, n=n)
+        if len(best_groups) == 2:          # the node's own two groups
+            (v, m), (w, _) = best_groups
+            a = m & node
+            best_groups = [(v, a), (w, node ^ a)]
 
         items = sorted(best_groups, key=lambda vm: value_sort_key(vm[0]))
         children = [(v, build(m, live, depth + 1)) for v, m in items]

@@ -406,37 +406,61 @@ def tree_problems(draw):
     width = draw(st.integers(1, 5))
     column = st.one_of(
         st.lists(st.sampled_from("abcd"), min_size=n, max_size=n),  # many near-ties
+        st.lists(st.sampled_from("ab"), min_size=n, max_size=n),    # two groups at most
         st.lists(values, min_size=n, max_size=n))
     columns = draw(st.lists(column, min_size=width, max_size=width))
+    # copies of drawn columns, placed anywhere: equal (size, positives) splits
+    for _ in range(draw(st.integers(0, 2))):
+        copy = columns[draw(st.integers(0, len(columns) - 1))]
+        columns.insert(draw(st.integers(0, len(columns))), copy)
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     cfg = TrainConfig(min_leaf=draw(st.integers(1, 4)), max_depth=draw(st.integers(1, 5)))
     rows = [list(row) for row in zip(*columns)]
-    return FeatureMatrix(rows, labels, [f"f{j}" for j in range(width)]), cfg
+    return FeatureMatrix(rows, labels, [f"f{j}" for j in range(len(columns))]), cfg
 
 
-def recorded(owner, name, calls):
-    """`owner.name` wrapped to append each result to `calls`."""
-    fn = getattr(owner, name)
+def recorded(fn, counts_of):
+    """`fn` wrapped to record each split it scores, and the records: the gain's
+    hex by (n, ones, counts), and the number of calls.  `counts_of(*args)`
+    gives (n, ones, [(size, ones) per group]).  A two-group split's counts are
+    sorted, as its gain does not depend on their order; a larger split keeps
+    the order its terms are summed in.  One key never scores two gains."""
+    gains, calls = {}, []
 
     def recording(*args):
-        calls.append(fn(*args))
-        return calls[-1]
+        gain = fn(*args)
+        n, ones, counts = counts_of(*args)
+        key = (n, ones, tuple(sorted(counts) if len(counts) == 2 else counts))
+        assert gains.setdefault(key, gain.hex()) == gain.hex()
+        calls.append(key)
+        return gain
 
-    return recording
+    return recording, gains, calls
+
+
+def tree_gains(m, cfg):
+    """Train the tree and the reference tree on `m`, check that they agree, and
+    give the records of the splits each scores, the tree's first."""
+    gain, gains, calls = recorded(kbfg.learners._gain,
+                                  lambda n, ones, groups: (n, ones, list(groups)))
+    reference, reference_gains, reference_calls = recorded(
+        learner_oracles.information_gain,
+        lambda labels, groups: (len(labels), sum(labels),
+                                [(len(g), sum(labels[i] for i in g)) for g in groups]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kbfg.learners, "_gain", gain)
+        mp.setattr(learner_oracles, "information_gain", reference)
+        assert train_decision_tree(m, cfg).to_json() == \
+            learner_oracles.train_decision_tree(m, cfg).to_json()
+    return (gains, calls), (reference_gains, reference_calls)
 
 
 @given(tree_problems())
 def test_tree_identical_to_reference(problem):
     m, cfg = problem
-    gains, reference_gains = [], []
-    with pytest.MonkeyPatch.context() as mp:
-        # every candidate split, node by node, scores the same float
-        mp.setattr(kbfg.learners, "_gain", recorded(kbfg.learners, "_gain", gains))
-        mp.setattr(learner_oracles, "information_gain",
-                   recorded(learner_oracles, "information_gain", reference_gains))
-        assert train_decision_tree(m, cfg).to_json() == \
-            learner_oracles.train_decision_tree(m, cfg).to_json()
-    assert [g.hex() for g in gains] == [g.hex() for g in reference_gains]
+    # every split either tree scores, node by node, is scored by the other, to the same float
+    (gains, _), (reference_gains, _) = tree_gains(m, cfg)
+    assert gains == reference_gains
     for j in range(len(m.feature_names)):
         assert column_information_gain(m, j) == learner_oracles.column_information_gain(m, j)
 
@@ -448,14 +472,20 @@ def test_tree_sums_a_child_node_groups_in_their_first_seen_order():
     columns = ["dcbbdccdbcacbd", "dbcbbdbccdbdbc", "caccccccabdcdd"]
     labels = [1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1]
     m = FeatureMatrix([list(row) for row in zip(*columns)], labels, ["f0", "f1", "f2"])
-    gains, reference_gains = [], []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kbfg.learners, "_gain", recorded(kbfg.learners, "_gain", gains))
-        mp.setattr(learner_oracles, "information_gain",
-                   recorded(learner_oracles, "information_gain", reference_gains))
-        train_decision_tree(m, TrainConfig(min_leaf=1))
-        learner_oracles.train_decision_tree(m, TrainConfig(min_leaf=1))
-    assert [g.hex() for g in gains] == [g.hex() for g in reference_gains]
+    (gains, _), (reference_gains, _) = tree_gains(m, TrainConfig(min_leaf=1))
+    assert gains == reference_gains
+
+
+def test_tree_scores_each_two_group_split_once_per_node():
+    # f2 copies f0, so at the root its split has f0's sizes and positive
+    # counts: scored once there, and the tie goes to f0
+    columns = ["aaabbaba", "xyyyxyxx", "aaabbaba"]
+    m = FeatureMatrix([list(row) for row in zip(*columns)], [0, 1, 0, 0, 1, 1, 0, 1],
+                      ["f0", "f1", "f2"])
+    (gains, calls), (reference_gains, reference_calls) = tree_gains(m, TrainConfig(min_leaf=1))
+    assert gains == reference_gains
+    assert (len(calls), len(reference_calls)) == (4, 5)
+    assert train_decision_tree(m, TrainConfig(min_leaf=1)).root.feature == 0
 
 
 def test_tree_scores_a_column_again_below_its_undersized_group():
