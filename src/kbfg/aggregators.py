@@ -10,10 +10,11 @@ partition.
 the one test of an aggregator, with no per-target form: evaluating one
 indicator feature asks whether its target is in that set, and
 ``materialize`` fills all the indicator columns of one ``majority`` family
-(inner feature, relation, family) from one lookup per token and one such
-set per example.  An ``any`` set is every object looked up, so
-``materialize`` fills an ``any`` family from one lookup per distinct token:
-each object fires on the rows of the tokens paired with it.
+(inner feature, relation, family) from one such set per distinct inner
+value, fired on that value's rows.  An ``any`` set is every object looked
+up, so ``any`` distributes over the tokens and ``materialize`` fills an
+``any`` family from one index read per covered token: each object fires on
+the rows of the tokens paired with it.
 """
 
 from __future__ import annotations

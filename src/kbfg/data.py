@@ -10,14 +10,17 @@ example::
     {"id": "p1", "label": 1, "features": {"surname": "haddad", "gender": "f"}}
 
 Feature values are strings (atoms) or arrays of strings (value sets; an
-empty array means missing).  Without a header the schema is inferred as the
-union of observed feature names, typed by their own name.
+empty array means missing).  A header declares exactly its names: a
+record's feature it does not name is rejected, so after an empty header no
+record may carry one.  Without a header the schema is inferred as the union
+of observed feature names, typed by their own name.
 
 ``materialize`` evaluates features into a row-major ``FeatureMatrix``.  The
 aggregator indicators of one (inner feature, relation, family) are filled
-together, from one evaluation of the inner value per example and one
-knowledge-base lookup per distinct token (``any``) or per token and example
-(``majority``); every other cell is evaluated on its own.
+together, from one evaluation of the inner value per example, grouped by
+value and by token (``token_masks``), and one index read per covered token
+(``any``) or per distinct value and token (``majority``); every other cell
+is evaluated on its own.
 
 A ``FeatureMatrix`` also holds each column's rows grouped by value, as
 ``row_masks`` gives them: ``FeatureMatrix.masks(j)`` builds them at most
@@ -25,14 +28,14 @@ once per column, and ``materialize`` hands over those of every aggregator
 column, taken from the examples each target fires on while it fills the
 family.  The tree, information gain, ``deep``'s split and derived problems
 all read a column's groups from there, and both generators read a source's
-observed values from its groups' keys.
+observed values as the tokens of its groups (``token_masks``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from kbfg.aggregators import fired_targets
 from kbfg.features import Feature, RelationFeature, evaluate_feature
@@ -126,7 +129,7 @@ def load_dataset(source: Iterable[str]) -> Dataset:
                 raise DatasetError(f"line {lineno}: schema header must map feature "
                                    f"names to value-type names")
             schema = list(declared.items())
-            declared_names = set(declared) or None
+            declared_names = set(declared)
             first_content = False
             continue
         first_content = False
@@ -200,6 +203,19 @@ def row_masks(column: Iterable[FeatureValue]) -> Dict[FeatureValue, int]:
     return masks
 
 
+def token_masks(groups: Mapping[FeatureValue, int]) -> Dict[str, int]:
+    """The row mask of each token of the values in `groups` (value -> row
+    mask, as ``row_masks`` gives them): the OR of the masks of the values
+    holding it, tokens in first-seen order.  The one grouping of rows by
+    token: aggregator families and a derived problem's labels read it.
+    """
+    masks: Dict[str, int] = {}
+    for v, m in groups.items():
+        for tok in iter_atoms(v):
+            masks[tok] = masks.get(tok, 0) | m
+    return masks
+
+
 @dataclass
 class FeatureMatrix:
     rows: List[List[FeatureValue]]
@@ -240,18 +256,20 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
     family) form a family, such as the indicators one relation spawns over
     a derived problem.  A family is filled from the rows each target fires
     on.  The inner value is evaluated once per example (or read from its
-    own column, when the inner is also one of `features`) and split into
-    tokens once for all its families, along with the row mask of each
-    distinct token and a missing mask.  An ``any`` family looks each
-    distinct token up once (``KnowledgeBase.lookup_masks``): a target fires
-    on the rows of every token paired with it.  A ``majority`` family looks
-    each token of each example up once and takes the example's targets
-    from ``fired_targets``.  A member's cells are ``"0"``, or ``None`` where
-    the inner value is missing, with ``"1"`` on the rows its target fires
-    on, and its ``masks`` follow from those rows without a scan of its
-    column.  Every other cell is evaluated on its own.  Evaluation is pure,
-    so the result is the one cell-by-cell evaluation gives, and
-    deterministic.
+    own column, when the inner is also one of `features`) and grouped once
+    for all its families: its value groups (``row_masks``) and its token
+    groups (``token_masks``).  An ``any`` family reads the index once per
+    token the relation covers: a target fires on the rows of every token
+    paired with it.  A ``majority`` family reads each distinct value's
+    tokens once and fires the targets ``fired_targets`` gives for their
+    pooled objects on that value's rows.  The targets are only read back
+    by name, so no set order reaches the result.  The relation is looked
+    up only when some value is present.  A member's cells are ``"0"``, or
+    ``None`` where the inner value is missing, with ``"1"`` on the rows its
+    target fires on, and its ``masks`` follow from those rows without a
+    scan of its column.  Every other cell is evaluated on its own.
+    Evaluation is pure, so the result is the one cell-by-cell evaluation
+    gives, and deterministic.
     """
     if not features:
         raise ValueError("materialize requires at least one feature")
@@ -266,7 +284,7 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
             columns[j] = [evaluate_feature(f, x, kb) for x in examples]
     inner_values = {f: column for f, column in zip(features, columns)
                     if column is not None} if families else {}
-    inners: Dict[Feature, tuple] = {}       # inner -> _tokens(its values)
+    inners: Dict[Feature, tuple] = {}   # inner -> its value groups, token groups, base cells
     masks: Dict[int, Dict[FeatureValue, int]] = {}
     every = (1 << len(examples)) - 1
     for (inner, relation, family), members in families.items():
@@ -274,18 +292,25 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
             values = inner_values.get(inner)
             if values is None:
                 values = [evaluate_feature(inner, x, kb) for x in examples]
-            inners[inner] = _tokens(values)
-        tokens, token_masks, missing, base = inners[inner]
-        if family == "any":
-            fires = kb.lookup_masks(relation, token_masks)   # target -> the rows it fires on
-        else:
-            fires, bit = {}, 1
-            for toks in tokens:
-                if toks is not None:
-                    looked_up = [o for tok in toks for o in kb.lookup(relation, tok)]
-                    for target in fired_targets(family, looked_up):
-                        fires[target] = fires.get(target, 0) | bit
-                bit <<= 1
+            groups = row_masks(values)
+            inners[inner] = (groups, token_masks(groups),
+                             [None if v is None else "0" for v in values])
+        groups, tokens, base = inners[inner]
+        fires: Dict[str, int] = {}          # target -> the rows it fires on; read by .get
+        if tokens:
+            index = kb.relation(relation).index
+            if family == "any":
+                for tok in tokens.keys() & index.keys():
+                    rows = tokens[tok]
+                    for target in index[tok]:
+                        fires[target] = fires.get(target, 0) | rows
+            else:
+                for v, rows in groups.items():
+                    if v is not None:
+                        looked_up = [o for tok in iter_atoms(v) for o in index.get(tok, ())]
+                        for target in fired_targets(family, looked_up):
+                            fires[target] = fires.get(target, 0) | rows
+        missing = groups.get(None, 0)
         present = every ^ missing
         for j, target in members:
             ones = fires.get(target, 0)
@@ -296,29 +321,11 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
                 column[low.bit_length() - 1] = "1"
                 rows ^= low
             # the non-empty groups, in the order of their lowest row, as row_masks has them
-            groups = sorted((m & -m, v, m) for v, m in
-                            ((None, missing), ("1", ones), ("0", present ^ ones)) if m)
-            masks[j] = {v: m for _, v, m in groups}
+            ordered = sorted((m & -m, v, m) for v, m in
+                             ((None, missing), ("1", ones), ("0", present ^ ones)) if m)
+            masks[j] = {v: m for _, v, m in ordered}
     matrix = FeatureMatrix([list(row) for row in zip(*columns)], ds.labels,
                            [f.name for f in features])
     matrix._masks.update(masks)
     return matrix
 
-
-def _tokens(values: Sequence[FeatureValue]) -> tuple:
-    """Per value None or its tokens, each token's row mask, the missing mask,
-    and the cells of a family member that fires nowhere."""
-    tokens: list = []
-    token_masks: Dict[str, int] = {}
-    missing, bit = 0, 1
-    for v in values:
-        if v is None:
-            tokens.append(None)
-            missing |= bit
-        else:
-            toks = tuple(iter_atoms(v))
-            tokens.append(toks)
-            for tok in toks:
-                token_masks[tok] = token_masks.get(tok, 0) | bit
-        bit <<= 1
-    return tokens, token_masks, missing, [None if t is None else "0" for t in tokens]

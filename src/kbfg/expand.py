@@ -6,7 +6,7 @@ given) spawn new features.  Function relations compose directly onto the
 feature, others give one binary aggregator feature per codomain value
 reached from those values.  ``expand_features`` takes it for every existing
 feature, the recursive generator for every derived problem; both read the
-values from the keys of a materialized column's ``FeatureMatrix.masks``.
+values as the ``token_masks`` of a materialized column's ``FeatureMatrix.masks``.
 Restricting the enumeration to reached codomain values keeps the output
 finite on large knowledge bases while preserving every feature
 distinguishable on the training data.
@@ -18,11 +18,10 @@ from itertools import repeat
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from kbfg.aggregators import AggregatorInstance
-from kbfg.data import Dataset, FeatureMatrix, materialize
+from kbfg.data import Dataset, FeatureMatrix, materialize, token_masks
 # evaluate_feature is not called here; perfbench/tracer.py requires this binding
 from kbfg.features import Feature, RelationFeature, evaluate_feature
 from kbfg.kb import KnowledgeBase
-from kbfg.values import iter_atoms
 
 if TYPE_CHECKING:  # recursive imports this module
     from kbfg.recursive import GenerationConfig
@@ -72,7 +71,7 @@ def expand_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
     generated: List[Feature] = []
     seen_names = {f.name for f in features}
     for j, f in enumerate(features):
-        values = sorted({tok for v in matrix.masks(j) for tok in iter_atoms(v)})
+        values = sorted(token_masks(matrix.masks(j)))
         if not values:
             continue
         for new in relation_features(f, values, kb, cfg):

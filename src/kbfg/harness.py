@@ -8,7 +8,9 @@ training fold, and only there: the held-out fold neither contributes values
 nor labels to generation, which is what makes the accuracy delta an honest
 estimate of the generated features' utility.  Input columns are evaluated
 once per dataset, each fold's generators read their training rows, and only
-generated columns are evaluated per (method, fold).  A fold's learners run
+generated columns are evaluated per (method, fold); an input that a
+generated aggregator family has as its inner is the exception, evaluated
+again wherever that family is filled.  A fold's learners run
 once per distinct fold matrix: a method whose generated columns equal an
 earlier method's on the fold, or that generates nothing, shares its
 accuracies.  The leak of generating on the whole dataset can still be

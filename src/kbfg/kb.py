@@ -57,23 +57,6 @@ class KnowledgeBase:
         """All objects paired with `subject`; empty when the subject is unknown."""
         return self.relation(relation).index.get(subject, frozenset())
 
-    def lookup_masks(self, relation: str, subject_masks: Dict[str, int]) -> Dict[str, int]:
-        """The objects paired with the subjects of `subject_masks`, each with
-        the OR of its subjects' masks: one index read per subject.
-
-        With a token's row bitmask per subject, an object's mask holds the
-        rows on which it is looked up.  An undeclared relation raises
-        `KBError` only when there is a subject to look up, as `lookup` does.
-        """
-        if not subject_masks:
-            return {}
-        index = self.relation(relation).index
-        masks: Dict[str, int] = {}
-        for subject, mask in subject_masks.items():
-            for o in index.get(subject, ()):
-                masks[o] = masks.get(o, 0) | mask
-        return masks
-
     def applicable_relations(self, values: Iterable[str],
                              coverage_threshold: float = 1.0) -> List[Relation]:
         """Relations whose subjects cover at least `coverage_threshold` of `values`.

@@ -540,7 +540,10 @@ def cross_validate(ds: Dataset, features, kb, generators: Mapping[str, Optional[
     `generators` maps each method to its feature generator, or to None.
     Returns ``{method: {kind: fold_accuracies}}`` in the order of
     `generators` and `learner_kinds`.  The input `features` are evaluated
-    once; each fold's base train and test matrices take their rows.
+    once; each fold's base train and test matrices take their rows.  The
+    exception is an input that a generated aggregator family has as its
+    inner: the fold materializes its generated features alone, so that
+    input is evaluated again on both sides of the fold.
     `generator(train_ds, train_matrix)` sees the training fold only and
     returns new features, whose columns are evaluated on both sides of the
     fold and appended.  A fold's learners run once per distinct fold matrix:

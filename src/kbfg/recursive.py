@@ -24,9 +24,9 @@ matrix gives the nested pass its source columns and, with only the columns
 of the features that pass adds evaluated and appended, is the classifier's
 training matrix.  A source enters ``create_new_problem`` as its column's
 row masks (``FeatureMatrix.masks``), as ``expand_features`` reads its
-sources: the distinct tokens are those of the mask keys, and a token's
-majority label comes from the union of the masks of the values holding it,
-so the tree that trains on the same matrix reads the same groups.
+sources: its tokens and the rows carrying each are ``data.token_masks`` of
+those masks, so the tree that trains on the same matrix reads the same
+groups.
 
 A candidate with fewer than ``min_recursive_size`` objects, a single object
 class, or no applicable relations is dropped; the objects are labelled only
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from kbfg.aggregators import FAMILIES
-from kbfg.data import Dataset, Example, FeatureMatrix, materialize, row_masks
+from kbfg.data import Dataset, Example, FeatureMatrix, materialize, row_masks, token_masks
 from kbfg.expand import relation_features, source_matrix
 from kbfg.features import (
     VALUE_COLUMN,
@@ -56,7 +56,7 @@ from kbfg.features import (
 )
 from kbfg.kb import KnowledgeBase
 from kbfg.learners import LEARNER_KINDS, train_model
-from kbfg.values import FeatureValue, iter_atoms
+from kbfg.values import FeatureValue
 
 
 @dataclass
@@ -120,19 +120,12 @@ class GenerationStats:
         }
 
 
-def _value_labels(masks: Mapping[FeatureValue, int], labels: Sequence[int]) -> Dict[str, int]:
-    """Majority label of the examples carrying each token (ties to 0).
-
-    `masks` gives the rows carrying each value, so a token's rows are the
-    union of the masks of the values holding it.
-    """
-    carried: Dict[str, int] = {}
-    for v, m in masks.items():
-        for tok in iter_atoms(v):
-            carried[tok] = carried.get(tok, 0) | m
+def _value_labels(token_rows: Mapping[str, int], labels: Sequence[int]) -> Dict[str, int]:
+    """Majority label of the examples carrying each token (ties to 0), from
+    the rows carrying it (``token_masks``)."""
     positive = row_masks(labels).get(1, 0)
     return {tok: int((m & positive).bit_count() * 2 > m.bit_count())
-            for tok, m in carried.items()}
+            for tok, m in token_rows.items()}
 
 
 def create_new_problem(f: Feature, ds: Dataset, masks: Mapping[FeatureValue, int],
@@ -148,7 +141,8 @@ def create_new_problem(f: Feature, ds: Dataset, masks: Mapping[FeatureValue, int
     `stats`; the generator records the survivors.
     """
     stats = stats if stats is not None else GenerationStats()
-    all_values = sorted({tok for v in masks for tok in iter_atoms(v)})
+    token_rows = token_masks(masks)
+    all_values = sorted(token_rows)
     if any(isinstance(v, frozenset) for v in masks):
         candidates = _partition_by_type(all_values, kb)
     else:
@@ -161,7 +155,7 @@ def create_new_problem(f: Feature, ds: Dataset, masks: Mapping[FeatureValue, int
         status = None
         feats: List[Feature] = []
         if label_of is None and len(values) >= cfg.min_recursive_size:
-            label_of = _value_labels(masks, ds.labels)
+            label_of = _value_labels(token_rows, ds.labels)
         if len(values) < cfg.min_recursive_size:
             status = "too_small"
         elif len({label_of[v] for v in values}) == 1:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import settings
 
 import kbfg.data
-import kbfg.recursive
 from kbfg.features import evaluate_feature
 
 # Reproducible property tests with no per-example time limit: the training-heavy
@@ -16,7 +15,8 @@ settings.load_profile("kbfg")
 @pytest.fixture
 def evaluations(monkeypatch):
     """Counts of `evaluate_feature` calls by (example object id, feature name),
-    through every binding that generation and `deep` evaluate with."""
+    through `kbfg.data`'s binding: generation and `deep` evaluate every
+    cell through `materialize`."""
     calls = Counter()
     examples = []  # every example stays referenced, so no id is reused
 
@@ -25,6 +25,5 @@ def evaluations(monkeypatch):
         calls[id(x), f.name] += 1
         return evaluate_feature(f, x, kb)
 
-    for module in (kbfg.data, kbfg.recursive):
-        monkeypatch.setattr(module, "evaluate_feature", recording)
+    monkeypatch.setattr(kbfg.data, "evaluate_feature", recording)
     return calls

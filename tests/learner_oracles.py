@@ -436,7 +436,7 @@ def load_dataset(source: Iterable[str]) -> Dataset:
             first_content = False
             continue
         first_content = False
-        ex = _parse_record(obj, lineno, [n for n, _ in schema] if schema else None)
+        ex = _parse_record(obj, lineno, [n for n, _ in schema] if schema is not None else None)
         if ex.id in seen_ids:
             raise DatasetError(f"line {lineno}: duplicate example id {ex.id!r}")
         seen_ids.add(ex.id)

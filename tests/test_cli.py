@@ -247,6 +247,12 @@ def break_input(scen, case) -> str:
         header, *rest = train.read_text().splitlines()
         train.write_text("\n".join([header, "[" * 100_000, *rest]) + "\n")
         return f"{train}: line 2: invalid JSON (nested too deeply)"
+    if case == "empty-header":   # declares no feature, so the first record's is unknown
+        train = scen / "train.jsonl"
+        _, first, *rest = train.read_text().splitlines()
+        train.write_text("\n".join(['{"schema": {}}', first, *rest]) + "\n")
+        return f"{train}: line 2: feature {sorted(json.loads(first)['features'])[0]!r} " \
+               f"not in schema header"
     if case == "schema":
         (scen / "kb_schema.tsv").write_text("countryOf\tsurname\n")
         return "schema line 1: expected 4 tab-separated fields, got 2"
@@ -254,7 +260,8 @@ def break_input(scen, case) -> str:
     return str(scen / "kb_triples.tsv")
 
 
-@pytest.mark.parametrize("case", ["label", "nested", "schema", "missing-triples"])
+@pytest.mark.parametrize("case", ["label", "nested", "empty-header", "schema",
+                                  "missing-triples"])
 @pytest.mark.parametrize("command", ["expand", "generate", "deep", "eval"])
 def test_bad_input_ends_in_one_error_line(scenario_dir, tmp_path, capsys, command, case):
     names = break_input(scenario_dir, case)

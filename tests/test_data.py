@@ -88,6 +88,15 @@ def test_unknown_feature_name_rejected():
                             {"id": "a", "label": 0, "features": {"oops": "x"}}))
 
 
+def test_empty_schema_header_declares_no_feature():
+    record = {"id": "a", "label": 0, "features": {"surname": "x"}}
+    with pytest.raises(DatasetError, match="line 2: feature 'surname' not in schema header"):
+        load_dataset(lines({"schema": {}}, record))
+    # a record with no feature fits it
+    ds = load_dataset(lines({"schema": {}}, {**record, "features": {}}))
+    assert ds.schema == [] and [x.assignment for x in ds.examples] == [{}]
+
+
 @pytest.mark.parametrize("obj,match", [
     ({"id": "a", "label": 0, "features": ["surname"]}, "line 2: features must be an object"),
     ({"id": "a", "label": 0, "features": None}, "line 2: features must be an object"),

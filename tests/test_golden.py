@@ -4,9 +4,12 @@ Each digest is the SHA-256 of a document dumped the way the CLI writes it
 (``json.dumps(..., indent=2, sort_keys=True)``): the `generate` feature
 document with its filtering summary, the `deep` feature document and
 per-depth report, and the `eval` result.  The table `kbfg eval` prints,
-MAA lines included, is pinned by the digest of its text.  A change that
-alters any of these bytes must say so and give the diff before the digest
-is updated.
+MAA lines included, is pinned by the digest of its text.  On the family
+scenario (``family_scenario``), whose relations are not all functions, the
+`expand` and `generate` digests are taken under each aggregator family; the
+`expand` one also covers the expanded columns that ``materialize`` fills.
+A change that alters any of these bytes must say so and give the diff
+before the digest is updated.
 """
 
 import hashlib
@@ -15,12 +18,17 @@ import math
 
 import pytest
 
+from family_scenario import COVERAGE, family_scenario
+from kbfg.aggregators import FAMILIES
+from kbfg.data import materialize
 from kbfg.deep import DeepConfig, deep_generate
+from kbfg.expand import expand_features
 from kbfg.features import features_to_document
 from kbfg.harness import HarnessConfig, base_features, run_experiment
 from kbfg.learners import LEARNER_KINDS, cross_validate
 from kbfg.recursive import GenerationConfig, GenerationStats, generate_features
 from kbfg.synth import ScenarioSpec, gen_disorder_scenario
+from kbfg.values import value_to_json
 
 SCENARIOS = {
     "screening-seed1": ScenarioSpec(seed=1),
@@ -37,6 +45,17 @@ GOLDEN = {
         "generate": "896c72d8e5724fd1b4c29f28dffca1dbfbda4b9a9c05d86f73356943151d0500",
         "deep": "03193913a3deb25226b201237ca68ebb05b88f0bf5de637bf50b60fcc3b7e75b",
         "deep_report": "9ccf26360bffab2af200340bf16d5625ebc7466e21614bf65fffe1e919086c1e",
+    },
+}
+
+FAMILY_GOLDEN = {
+    "any": {
+        "expand": "ae5945c0649530f9df870151a2b84908902fe949a47ecfe1204205c62c075839",
+        "generate": "368ba333c8ddbfcb3fd4ba9b70aa5b06dda4e7d2ef46334f79cc357b1e4e930c",
+    },
+    "majority": {
+        "expand": "7050a8452bb7148e091ce4ff3e105fe7a91fce407aab8bc6f966dc919878a422",
+        "generate": "603e664c6989fcc61dae1bf5b0fd10207689fa3b54f062c1d28401536be4f421",
     },
 }
 
@@ -69,6 +88,33 @@ def output_digests(spec: ScenarioSpec) -> dict:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_outputs_match_golden_digests(name):
     assert output_digests(SCENARIOS[name]) == GOLDEN[name]
+
+
+def family_outputs(family: str) -> dict:
+    """The `expand` document with its materialized columns, and the
+    `generate` document, on the family scenario under `family`."""
+    train, kb = family_scenario()
+    feats = base_features(train)
+    cfg = GenerationConfig(aggregator_family=family, coverage_threshold=COVERAGE)
+    expanded = expand_features(train, feats, kb, cfg)
+    rows = materialize(train, expanded, kb).rows
+    stats = GenerationStats()
+    generated = generate_features(train, feats, kb, cfg, stats=stats)
+    return {
+        "expand": {"document": features_to_document(expanded),
+                   "rows": [[value_to_json(v) for v in row] for row in rows]},
+        "generate": features_to_document(generated, stats.summary()),
+    }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_outputs_match_golden_digests(family):
+    outputs = family_outputs(family)
+    # the scenario makes families over an atom-valued and a set-valued inner
+    inners = {f["inner"]["name"] for f in outputs["expand"]["document"]["features"]
+              if f["aggregator"] is not None}
+    assert inners == {"surname", "relatives"}
+    assert {name: _digest(doc) for name, doc in outputs.items()} == FAMILY_GOLDEN[family]
 
 
 @pytest.fixture(scope="module")

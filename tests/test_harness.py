@@ -240,7 +240,10 @@ def test_dataset_scope_generation_sees_every_fold():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_cross_validation_evaluates_each_input_cell_once(evaluations, method):
-    # every method in one run, `method` first: once per dataset, whichever runs first
+    # every method in one run, `method` first: once per dataset, whichever runs first.
+    # The disorder KB holds function relations only, so no generated aggregator
+    # family has an input as its inner; such an input is evaluated again in each
+    # fold, which this test cannot see.
     train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
     feats = base_features(train)
     methods = (method,) + tuple(m for m in METHODS if m != method)

@@ -331,32 +331,8 @@ def test_materialize_identical_to_reference(ds, feats):
         assert list(m.masks(j).items()) == list(row_masks([row[j] for row in m.rows]).items())
 
 
-def test_family_makes_one_lookup_per_row_and_token(monkeypatch, evaluations):
-    ds = Dataset([Example("e0", 1, {"tok": "t2"}),
-                  Example("e1", 0, {"tok": frozenset({"t0", "t1", "t6"})}),
-                  Example("e2", 1, {"tok": None}),
-                  Example("e3", 0, {"tok": "t4"})], [("tok", "token")])
-    family = [RelationFeature(TOK, "r0", AggregatorInstance("majority", v))
-              for v in LETTERS]
-    calls = Counter()
-    lookup = GEN_KB.lookup  # the bound method, taken before the patch
-
-    def counting(relation, subject):
-        calls[relation, subject] += 1
-        return lookup(relation, subject)
-
-    monkeypatch.setattr(GEN_KB, "lookup", counting)
-    matrix = materialize(ds, family, GEN_KB)
-    assert matrix.rows == [["1", "0", "0", "0"], ["1", "0", "0", "0"],
-                           [None] * 4, ["0", "0", "1", "0"]]
-    assert calls == {("r0", t): 1 for t in ("t2", "t0", "t1", "t6", "t4")}
-    # the inner value is evaluated once per row, the members never one by one
-    assert sorted(evaluations.values()) == [1] * 4
-    assert {name for _, name in evaluations} == {"tok"}
-
-
 class CountingIndex(dict):
-    """A relation index that counts its reads by subject."""
+    """A relation index that counts its reads by subject, through `get` and `[]`."""
 
     def __init__(self, index, reads):
         super().__init__(index)
@@ -365,6 +341,39 @@ class CountingIndex(dict):
     def get(self, subject, default=None):
         self.reads[subject] += 1
         return super().get(subject, default)
+
+    def __getitem__(self, subject):
+        self.reads[subject] += 1
+        return super().__getitem__(subject)
+
+
+def counted_reads(monkeypatch, relation):
+    """The reads of `relation`'s index in GEN_KB, by subject, from now on."""
+    reads = Counter()
+    rel = GEN_KB.relations[relation]
+    monkeypatch.setattr(rel, "index", CountingIndex(rel.index, reads))
+    return reads
+
+
+def test_majority_family_reads_the_index_once_per_distinct_value_and_token(monkeypatch,
+                                                                           evaluations):
+    ds = Dataset([Example("e0", 1, {"tok": "t2"}),
+                  Example("e1", 0, {"tok": frozenset({"t0", "t1", "t6"})}),
+                  Example("e2", 1, {"tok": None}),
+                  Example("e3", 0, {"tok": "t4"}),
+                  Example("e4", 1, {"tok": frozenset({"t0", "t1", "t6"})})],
+                 [("tok", "token")])
+    family = [RelationFeature(TOK, "r0", AggregatorInstance("majority", v))
+              for v in LETTERS]
+    reads = counted_reads(monkeypatch, "r0")
+    matrix = materialize(ds, family, GEN_KB)
+    assert matrix.rows == [["1", "0", "0", "0"], ["1", "0", "0", "0"],
+                           [None] * 4, ["0", "0", "1", "0"], ["1", "0", "0", "0"]]
+    # e1 and e4 hold the same set, whose tokens are read once
+    assert reads == {t: 1 for t in ("t2", "t0", "t1", "t6", "t4")}
+    # the inner value is evaluated once per row, the members never one by one
+    assert sorted(evaluations.values()) == [1] * 5
+    assert {name for _, name in evaluations} == {"tok"}
 
 
 def test_any_family_reads_the_index_once_per_distinct_token(monkeypatch, evaluations):
@@ -375,14 +384,13 @@ def test_any_family_reads_the_index_once_per_distinct_token(monkeypatch, evaluat
                   Example("e4", 1, {"tok": "t2"}),
                   Example("e5", 0, {"tok": frozenset({"t0", "t4"})})], [("tok", "token")])
     family = [RelationFeature(TOK, "r0", AggregatorInstance("any", v)) for v in LETTERS]
-    reads = Counter()
-    r0 = GEN_KB.relations["r0"]
-    monkeypatch.setattr(r0, "index", CountingIndex(r0.index, reads))
+    reads = counted_reads(monkeypatch, "r0")
     matrix = materialize(ds, family, GEN_KB)
     assert matrix.rows == [["1", "1", "0", "0"], ["1", "1", "0", "0"], [None] * 4,
                            ["0", "0", "1", "0"], ["1", "1", "0", "0"], ["1", "0", "1", "0"]]
-    # t2, t0 and t4 occur in two rows each and are still read once
-    assert reads == {t: 1 for t in ("t2", "t0", "t1", "t6", "t4")}
+    # t2, t0 and t4 occur in two rows each and are still read once; t6, which
+    # r0 does not cover, is not read
+    assert reads == {t: 1 for t in ("t2", "t0", "t1", "t4")}
     assert sorted(evaluations.values()) == [1] * 6
     assert {name for _, name in evaluations} == {"tok"}
 

@@ -81,6 +81,37 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+def test_family_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """`expand` and `generate` under each aggregator family on the family
+    scenario, whose relations are not all functions."""
+    from family_scenario import COVERAGE, family_scenario
+
+    from kbfg.aggregators import FAMILIES
+    from kbfg.data import save_dataset
+    from kbfg.kb import save_kb
+
+    train, kb = family_scenario()
+    save_dataset(train, tmp_path / "train.jsonl")
+    save_kb(kb, tmp_path / "kb_schema.tsv", tmp_path / "kb_triples.tsv")
+    args = ["--data", str(tmp_path / "train.jsonl"), "--kb-schema", str(tmp_path / "kb_schema.tsv"),
+            "--kb-triples", str(tmp_path / "kb_triples.tsv"), "--coverage", str(COVERAGE)]
+    runs = []
+    for hash_seed in (0, 1, 2):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
+        outputs = {}
+        for command in ("expand", "generate"):
+            for family in FAMILIES:
+                done = subprocess.run([sys.executable, "-m", "kbfg", command, *args,
+                                       "--aggregator", family], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+                outputs[command, family] = done.stdout
+        runs.append(outputs)
+    for (command, family), out in runs[0].items():
+        assert any(f"{family}=kin" in json.dumps(f) for f in json.loads(out)["features"])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_bench_alternates_checkouts_and_compares_with_the_first(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
