@@ -17,8 +17,13 @@ output holds, per checkout, the commit, whether ``src/`` differs from it,
 the SHA-256 of ``src/kbfg`` that ``run.py`` reports, every run's metrics,
 and the median and quartiles of each end-to-end metric.  With two or more
 checkouts, each one after the first is compared with the first: the ratio
-of the medians, the number of seeds on which it is better, and whether the
-gain in the median exceeds the first checkout's interquartile range.
+of the medians, the number of seeds on which it is better, whether the
+gain in the median exceeds the first checkout's interquartile range,
+whether the loss in the median exceeds the metric's ``bound`` share of the
+first checkout's median (``worse_than_bound``), and whether that IQR itself
+exceeds the bound share (``unresolved``: the first checkout's runs spread
+too widely to tell a change within the bound from noise).  Both flags are
+printed on stderr for every metric.
 """
 
 from __future__ import annotations
@@ -91,14 +96,14 @@ def compare(base: dict, other: dict, metrics: list) -> dict:
         pairs = [(b["metrics"][name], o["metrics"][name])
                  for b, o in zip(base["runs"], other["runs"])]
         b_stats, o_stats = base["stats"][name], other["stats"][name]
-        gain = b_stats["median"] - o_stats["median"]
+        gain, iqr = b_stats["median"] - o_stats["median"], b_stats["q3"] - b_stats["q1"]
         out[name] = {
             "median_ratio": o_stats["median"] / b_stats["median"],
             "better_in": sum(1 for b, o in pairs if (o < b if lower else o > b)),
             "pairs": len(pairs),
-            "gain_exceeds_base_iqr": (gain if lower else -gain)
-            > b_stats["q3"] - b_stats["q1"],
+            "gain_exceeds_base_iqr": (gain if lower else -gain) > iqr,
             "worse_than_bound": (-gain if lower else gain) / b_stats["median"] > m["bound"],
+            "unresolved": iqr / b_stats["median"] > m["bound"],
         }
     return out
 
@@ -157,7 +162,8 @@ def main(argv=None) -> int:
     for label, cmp in doc["comparison"].items():
         for name, c in cmp.items():
             print(f"{label} vs {entries[0]['label']}: {name} median x{c['median_ratio']:.3f}, "
-                  f"better in {c['better_in']}/{c['pairs']}", file=sys.stderr)
+                  f"better in {c['better_in']}/{c['pairs']}, worse_than_bound "
+                  f"{c['worse_than_bound']}, unresolved {c['unresolved']}", file=sys.stderr)
     return 0 if all(r["correct"] for e in entries for r in e["runs"]) else 1
 
 

@@ -27,8 +27,8 @@ def one_seed(spec: ScenarioSpec, cfg: GenerationConfig):
 
     generated = generate_features(train, feats, kb, cfg, matrix=train_matrix)
     if generated:
-        train_matrix.append_columns(materialize(train, generated, kb))
-        test_matrix.append_columns(materialize(test, generated, kb))
+        train_matrix.extend(train, generated, kb)
+        test_matrix.extend(test, generated, kb)
     gen_acc = accuracy(train_decision_tree(train_matrix), test_matrix)
     return base_acc, gen_acc, len(generated)
 

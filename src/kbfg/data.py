@@ -15,26 +15,20 @@ record's feature it does not name is rejected, so after an empty header no
 record may carry one.  Without a header the schema is inferred as the union
 of observed feature names, typed by their own name.
 
-``materialize`` evaluates features into a row-major ``FeatureMatrix``.  The
-aggregator indicators of one (inner feature, relation, family) are filled
-together, from one evaluation of the inner value per example, grouped by
-value and by token (``token_masks``), and one index read per covered token
-(``any``) or per distinct value and token (``majority``); every other cell
-is evaluated on its own.
-
-A ``FeatureMatrix`` also holds each column's rows grouped by value, as
-``row_masks`` gives them: ``FeatureMatrix.masks(j)`` builds them at most
-once per column, and ``materialize`` hands over those of every aggregator
-column, taken from the examples each target fires on while it fills the
-family.  The tree, information gain, ``deep``'s split and derived problems
-all read a column's groups from there, and both generators read a source's
-observed values as the tokens of its groups (``token_masks``).
+``materialize`` evaluates features into a column-first ``FeatureMatrix``,
+filling the aggregator indicators of one (inner feature, relation, family)
+together, and ``FeatureMatrix.extend`` appends the columns of more
+features.  A matrix also holds each column's rows grouped by value
+(``FeatureMatrix.masks``, as ``row_masks`` gives them): the tree,
+information gain, ``deep``'s split and derived problems read a column's
+groups there, and both generators read a source's observed values as the
+tokens of its groups (``token_masks``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from kbfg.aggregators import fired_targets
@@ -188,12 +182,9 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def row_masks(column: Iterable[FeatureValue]) -> Dict[FeatureValue, int]:
     """The row bitmask of each distinct value of `column` (bit i stands for
-    row i), values in first-seen order.
-
-    The one grouping of rows by value: the tree, k-NN, information gain,
-    ``deep``'s split and derived problems all build their groups here (a
-    matrix column through ``FeatureMatrix.masks``), so all of them see the
-    groups in the same order.
+    row i), values in first-seen order.  The one grouping of rows by value
+    (a matrix column's through ``FeatureMatrix.masks``), so every reader
+    sees the groups in the same order.
     """
     masks: Dict[FeatureValue, int] = {}
     bit = 1
@@ -216,60 +207,108 @@ def token_masks(groups: Mapping[FeatureValue, int]) -> Dict[str, int]:
     return masks
 
 
-@dataclass
 class FeatureMatrix:
-    rows: List[List[FeatureValue]]
-    labels: List[int]
-    feature_names: List[str]
-    # column index -> that column's row_masks, each built at most once
-    _masks: Dict[int, Dict[FeatureValue, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    """Feature values by column, and the examples' labels.
+
+    ``FeatureMatrix(rows, labels, feature_names)`` takes the cells by row;
+    ``materialize`` builds a matrix by column and ``extend`` appends
+    columns.  An aggregator column is held as its groups (``masks``), and
+    its cells are built only when read (``column``); ``rows`` is a view
+    built on first read.  The tree reads groups alone, so a matrix it
+    trains on builds neither.  ``==`` compares every cell, labels and names.
+    """
+
+    def __init__(self, rows: List[List[FeatureValue]], labels: List[int],
+                 feature_names: List[str]):
+        self.labels, self.feature_names, self._rows = labels, feature_names, rows
+        # per column its cells, or None while its masks alone hold them
+        self._columns: List[Optional[list]] = \
+            [list(c) for c in zip(*rows)] if rows else [[] for _ in feature_names]
+        self._masks: Dict[int, Dict[FeatureValue, int]] = {}   # j -> row_masks, built once
+        # the feature of each column that materialize evaluated, else None
+        self._features: List[Optional[Feature]] = [None] * len(self._columns)
+
+    @classmethod
+    def _of_columns(cls, columns, labels, names, features) -> "FeatureMatrix":
+        m = cls([], labels, names)
+        m._columns, m._features, m._rows = columns, list(features), None
+        return m
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FeatureMatrix) and (self.rows, self.labels, self.feature_names) \
+            == (other.rows, other.labels, other.feature_names)
+
+    @property
+    def rows(self) -> List[List[FeatureValue]]:
+        """The cells by row, built on first read; read them, do not change them."""
+        if self._rows is None:
+            columns = [self.column(j) for j in range(len(self._columns))]
+            self._rows = [list(r) for r in zip(*columns)] if columns else [[] for _ in self.labels]
+        return self._rows
+
+    def column(self, j: int) -> List[FeatureValue]:
+        """The cells of column `j`, built on first read; read them, do not change them."""
+        cells = self._columns[j]
+        if cells is None:   # the largest group fills the column, the others their rows
+            groups = sorted(self._masks[j].items(), key=lambda vm: vm[1].bit_count())
+            cells = self._columns[j] = [groups[-1][0] if groups else None] * len(self.labels)
+            for v, m in groups[:-1]:
+                while m:
+                    low = m & -m
+                    cells[low.bit_length() - 1] = v
+                    m ^= low
+        return cells
 
     def masks(self, j: int) -> Dict[FeatureValue, int]:
         """``row_masks`` of column `j`, built on first use; read it, do not change it."""
         masks = self._masks.get(j)
         if masks is None:
-            masks = self._masks[j] = row_masks(row[j] for row in self.rows)
+            masks = self._masks[j] = row_masks(self._columns[j])
         return masks
 
     def subset(self, indices: Sequence[int]) -> "FeatureMatrix":
-        """The rows at `indices`, copied, so appending to them leaves these intact."""
-        return FeatureMatrix([list(self.rows[i]) for i in indices],
-                             [self.labels[i] for i in indices], list(self.feature_names))
+        """The rows at `indices`, copied, so extending the copy leaves these intact."""
+        return FeatureMatrix._of_columns(
+            [list(map(self.column(j).__getitem__, indices)) for j in range(len(self._columns))],
+            [self.labels[i] for i in indices], list(self.feature_names), self._features)
 
-    def append_columns(self, other: "FeatureMatrix") -> None:
-        """Append the columns of `other`, a matrix built on the same examples,
-        with the masks it has built."""
-        if other.labels != self.labels:
-            raise ValueError("append_columns needs a matrix over the same examples")
-        width = len(self.feature_names)
-        for row, more in zip(self.rows, other.rows):
-            row.extend(more)
-        self.feature_names += other.feature_names
-        self._masks.update((width + j, masks) for j, masks in other._masks.items())
+    def extend(self, ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> None:
+        """Evaluate `features` on `ds`, the examples of these rows, and append
+        their columns; a family whose inner is the feature of one of these
+        columns (equal, not only of equal name) reads its groups from there."""
+        if ds.labels != self.labels:
+            raise ValueError("extend needs the examples of this matrix's rows")
+        new = materialize(ds, features, kb, self)
+        width = len(self._columns)
+        self._columns += new._columns
+        self._features += new._features
+        self.feature_names = self.feature_names + new.feature_names
+        self._masks.update((width + j, masks) for j, masks in new._masks.items())
+        self._rows = None
 
 
-def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> FeatureMatrix:
+def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
+                known: Optional[FeatureMatrix] = None) -> FeatureMatrix:
     """Evaluate every feature on every example; labels ride along.
 
     The aggregator features that share one (inner feature, relation,
     family) form a family, such as the indicators one relation spawns over
     a derived problem.  A family is filled from the rows each target fires
-    on.  The inner value is evaluated once per example (or read from its
-    own column, when the inner is also one of `features`) and grouped once
-    for all its families: its value groups (``row_masks``) and its token
-    groups (``token_masks``).  An ``any`` family reads the index once per
-    token the relation covers: a target fires on the rows of every token
-    paired with it.  A ``majority`` family reads each distinct value's
-    tokens once and fires the targets ``fired_targets`` gives for their
-    pooled objects on that value's rows.  The targets are only read back
-    by name, so no set order reaches the result.  The relation is looked
-    up only when some value is present.  A member's cells are ``"0"``, or
-    ``None`` where the inner value is missing, with ``"1"`` on the rows its
-    target fires on, and its ``masks`` follow from those rows without a
-    scan of its column.  Every other cell is evaluated on its own.
-    Evaluation is pure, so the result is the one cell-by-cell evaluation
-    gives, and deterministic.
+    on.  The inner's value groups (``row_masks``) and token groups
+    (``token_masks``) are built once for all its families: from its own
+    column when the inner is one of `features` or the feature of a column
+    of `known` (a matrix on `ds`, as ``FeatureMatrix.extend`` passes), or
+    else from one evaluation per example.  An ``any`` family reads the
+    index once per token the relation covers: a target fires on the rows
+    of every token paired with it.  A ``majority`` family reads each
+    distinct value's tokens once and fires the targets ``fired_targets``
+    gives for their pooled objects on that value's rows.  The targets are
+    only read back by name, so no set order reaches the result.  The
+    relation is looked up only when some value is present.  A member is
+    ``"1"`` on the rows its target fires on, ``None`` where the inner is
+    missing and ``"0"`` elsewhere, and is stored as those groups.  Every
+    other cell is evaluated on its own.  Evaluation is pure, so the result
+    is the one cell-by-cell evaluation gives, and deterministic.
     """
     if not features:
         raise ValueError("materialize requires at least one feature")
@@ -282,20 +321,22 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
                 (j, f.aggregator.value))
         else:
             columns[j] = [evaluate_feature(f, x, kb) for x in examples]
-    inner_values = {f: column for f, column in zip(features, columns)
-                    if column is not None} if families else {}
-    inners: Dict[Feature, tuple] = {}   # inner -> its value groups, token groups, base cells
-    masks: Dict[int, Dict[FeatureValue, int]] = {}
+    matrix = FeatureMatrix._of_columns(columns, ds.labels, [f.name for f in features],
+                                       features)
+    if not families:
+        return matrix
+    # feature -> (a matrix holding its column, that column)
+    held = {f: (known, j) for j, f in enumerate(known._features if known else ())}
+    held.update((f, (matrix, j)) for j, f in enumerate(features) if columns[j] is not None)
+    inners: Dict[Feature, tuple] = {}   # inner -> its value groups and token groups
     every = (1 << len(examples)) - 1
     for (inner, relation, family), members in families.items():
         if inner not in inners:
-            values = inner_values.get(inner)
-            if values is None:
-                values = [evaluate_feature(inner, x, kb) for x in examples]
-            groups = row_masks(values)
-            inners[inner] = (groups, token_masks(groups),
-                             [None if v is None else "0" for v in values])
-        groups, tokens, base = inners[inner]
+            owner, j = held.get(inner, (None, 0))
+            groups = owner.masks(j) if owner else \
+                row_masks([evaluate_feature(inner, x, kb) for x in examples])
+            inners[inner] = groups, token_masks(groups)
+        groups, tokens = inners[inner]
         fires: Dict[str, int] = {}          # target -> the rows it fires on; read by .get
         if tokens:
             index = kb.relation(relation).index
@@ -314,18 +355,8 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase) -> 
         present = every ^ missing
         for j, target in members:
             ones = fires.get(target, 0)
-            columns[j] = column = list(base)
-            rows = ones
-            while rows:
-                low = rows & -rows
-                column[low.bit_length() - 1] = "1"
-                rows ^= low
             # the non-empty groups, in the order of their lowest row, as row_masks has them
             ordered = sorted((m & -m, v, m) for v, m in
                              ((None, missing), ("1", ones), ("0", present ^ ones)) if m)
-            masks[j] = {v: m for _, v, m in ordered}
-    matrix = FeatureMatrix([list(row) for row in zip(*columns)], ds.labels,
-                           [f.name for f in features])
-    matrix._masks.update(masks)
+            matrix._masks[j] = {v: m for _, v, m in ordered}
     return matrix
-

@@ -18,12 +18,12 @@ surviving problems relative to the node.
 Every (example, feature) cell is evaluated once.  The input features are
 evaluated at the root; each node receives its parent's rows for its own
 examples, hands them to the generator, and evaluates only the features it
-generates, whose columns it appends.  One information-gain pass over the
-node's matrix gives the split, the gains of the generated features and the
-best gain among the plain (not induced) features, which the report also
-averages; the split groups are the chosen column's row masks in the same
-matrix (built once per column and shared with that pass), and each child
-gets a copy of its group's rows.
+generates, onto its own matrix (``FeatureMatrix.extend``).  One
+information-gain pass over the node's matrix gives the split, the gains of
+the generated features and the best gain among the plain (not induced)
+features, which the report also averages; the split groups are the chosen
+column's row masks in the same matrix (built once per column and shared
+with that pass), and each child gets a copy of its group's rows.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
         # generation never returns a name in its input, so `extended` has no duplicates
         extended = feats + generated
         if generated:
-            matrix.append_columns(materialize(node_ds, generated, kb))
+            matrix.extend(node_ds, generated, kb)
         igs = feature_igs(matrix)
         row = report.at(depth)
         row.records += [r for r in stats.records if r.level == 0]
@@ -180,6 +180,7 @@ def deep_generate(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
             row.best_plain_igs.append(max(plain))
 
         for g in generated:
+            # `g.digest` keys alike; perfbench/tracer.py requires this call here
             key = serialize_feature(g)
             if key not in seen:
                 seen.add(key)

@@ -73,21 +73,22 @@ class ClassifierFeature:
     value_features: tuple  # features over VALUE_COLUMN, the model's input columns
     partition_type: Optional[str] = None
     name: str = field(init=False)  # always derived from the fields above
+    # SHA-1 of the canonical JSON of those fields; the name carries its first 8 digits
+    digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "name", self._derive_name())
+        digest = hashlib.sha1(_canon(self._payload()).encode("utf-8")).hexdigest()
+        scope = self.inner.name if self.partition_type is None \
+            else f"{self.inner.name}|{self.partition_type}"
+        object.__setattr__(self, "digest", digest)
+        object.__setattr__(self, "name", f"induced[{scope}]#{digest[:8]}")
 
     def __eq__(self, other):
-        return isinstance(other, ClassifierFeature) and serialize_feature(self) == serialize_feature(other)
+        """Equal payloads, so equal documents: the full digests agree."""
+        return isinstance(other, ClassifierFeature) and self.digest == other.digest
 
     def __hash__(self):
         return hash(self.name)
-
-    def _derive_name(self) -> str:
-        digest = hashlib.sha1(_canon(self._payload()).encode("utf-8")).hexdigest()[:8]
-        scope = self.inner.name if self.partition_type is None \
-            else f"{self.inner.name}|{self.partition_type}"
-        return f"induced[{scope}]#{digest}"
 
     def to_json(self) -> dict:
         return {"kind": "classifier", "name": self.name, **self._payload()}

@@ -8,12 +8,11 @@ training fold, and only there: the held-out fold neither contributes values
 nor labels to generation, which is what makes the accuracy delta an honest
 estimate of the generated features' utility.  Input columns are evaluated
 once per dataset, each fold's generators read their training rows, and only
-generated columns are evaluated per (method, fold); an input that a
-generated aggregator family has as its inner is the exception, evaluated
-again wherever that family is filled.  A fold's learners run
-once per distinct fold matrix: a method whose generated columns equal an
-earlier method's on the fold, or that generates nothing, shares its
-accuracies.  The leak of generating on the whole dataset can still be
+generated columns are evaluated per (method, fold), onto the fold's input
+columns, so a generated aggregator family reads an input inner from there.
+A fold's learners run once per distinct fold matrix: a method whose
+generated columns equal an earlier method's on the fold, or that generates
+nothing, shares its accuracies.  The leak of generating on the whole dataset can still be
 measured outside the harness, by passing the features ``generate_features``
 returns on the full dataset to ``cross_validate``.  Every dataset is
 checked before any fold runs: one with no examples, no features, a single

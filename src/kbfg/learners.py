@@ -10,13 +10,9 @@ label with ties resolved to 0.
   every child keeps at least ``min_leaf`` examples, which is what stops
   id-like columns from being used.  Unseen split values route to the
   fallback child, the child that held the most training examples.  Training
-  works on row bitmasks: one mask per (column, value), read from the
-  matrix (``FeatureMatrix.masks``, which ``materialize`` fills for relation
-  families and builds for any other column on first use), a node is a
-  mask, and group sizes and positive counts are bit counts, scored by the
-  same count-based gain core as ``column_information_gain``.  A two-valued
-  column keeps its root masks all the way down, each node ANDs them with
-  its own mask, and a node scores each (size, positives) split once.
+  reads the matrix's row bitmasks (``FeatureMatrix.masks``), never its
+  rows or cells, and scores splits by bit counts with the same gain core
+  as ``column_information_gain`` (``train_decision_tree``).
 * k-NN: Hamming distance over value vectors, distance ties to the lower
   stored row, vote ties to 0.  The model keeps one row bitmask per
   (column, value); a query adds up its matching masks in a bit-sliced
@@ -198,15 +194,17 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
     groups restricted to the node, so one left with two takes the AND below.
     A two-group gain depends only on the node's counts and the first group's
     (size, positives), so a node scores each such pair once, in a memo
-    dropped before its children are built.
+    dropped before its children are built.  The labels give the row count:
+    ``matrix.rows`` is never read, so it is never built.
     """
     cfg = cfg or TrainConfig()
-    if not matrix.rows:
+    n, width = len(matrix.labels), len(matrix.feature_names)
+    if not n:
         raise ValueError("cannot train on an empty matrix")
     positive = row_masks(matrix.labels).get(1, 0)
     min_leaf = cfg.min_leaf
     # (j, [(value, row mask), ...]) per column
-    columns = [(j, list(matrix.masks(j).items())) for j in range(len(matrix.rows[0]))]
+    columns = [(j, list(matrix.masks(j).items())) for j in range(width)]
 
     def build(node: int, columns, depth: int) -> TreeNode:
         n = node.bit_count()
@@ -262,8 +260,8 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
         fallback = max(range(len(sizes)), key=lambda k: (sizes[k], -k))
         return TreeNode(feature=best_j, children=children, fallback=fallback, n=n)
 
-    root = build((1 << len(matrix.rows)) - 1, columns, 0)
-    return TreeModel(root, majority_label(matrix.labels), len(matrix.rows[0]))
+    root = build((1 << n) - 1, columns, 0)
+    return TreeModel(root, majority_label(matrix.labels), width)
 
 
 # --- k nearest neighbours ---------------------------------------------------
@@ -540,17 +538,16 @@ def cross_validate(ds: Dataset, features, kb, generators: Mapping[str, Optional[
     `generators` maps each method to its feature generator, or to None.
     Returns ``{method: {kind: fold_accuracies}}`` in the order of
     `generators` and `learner_kinds`.  The input `features` are evaluated
-    once; each fold's base train and test matrices take their rows.  The
-    exception is an input that a generated aggregator family has as its
-    inner: the fold materializes its generated features alone, so that
-    input is evaluated again on both sides of the fold.
+    once; each fold's base train and test matrices take their rows.
     `generator(train_ds, train_matrix)` sees the training fold only and
-    returns new features, whose columns are evaluated on both sides of the
-    fold and appended.  A fold's learners run once per distinct fold matrix:
-    its methods share the base columns and labels, so the generated columns'
-    values on both sides key the accuracies (values, not names: features of
-    different names can give equal columns).  Learners are deterministic in
-    (rows, labels), so a method that matches an earlier one, or generates
+    returns new features, whose columns are evaluated onto copies of both
+    sides of the fold (``FeatureMatrix.extend``), so a generated family
+    whose inner is an input reads that input's column.  A fold's learners
+    run once per distinct fold matrix: its methods share the base columns
+    and labels, so the generated columns' values on both sides, column by
+    column, key the accuracies (values, not names: features of different
+    names can give equal columns).  Learners are deterministic in (rows,
+    labels), so a method that matches an earlier one, or generates
     nothing, reuses its accuracies exactly.
     """
     if len(set(learner_kinds)) != len(learner_kinds):
@@ -562,20 +559,18 @@ def cross_validate(ds: Dataset, features, kb, generators: Mapping[str, Optional[
         train_idx = sorted(set(range(len(ds))) - set(test_idx))
         train_ds, test_ds = ds.subset(train_idx), ds.subset(test_idx)
         base_train, base_test = matrix.subset(train_idx), matrix.subset(test_idx)
-        scored: Dict[tuple, List[float]] = {}   # generated cells, train and test -> accuracies
+        scored: Dict[tuple, List[float]] = {}   # generated columns, train then test -> accuracies
         for method, generator in generators.items():
             generated = generator(train_ds, base_train) if generator else []
-            train_matrix, test_matrix, key = base_train, base_test, ()
+            train_matrix, test_matrix = base_train, base_test
             if generated:
-                train_new = materialize(train_ds, generated, kb)
-                test_new = materialize(test_ds, generated, kb)
-                key = (tuple(map(tuple, train_new.rows)), tuple(map(tuple, test_new.rows)))
+                train_matrix = base_train.subset(range(len(train_idx)))
+                test_matrix = base_test.subset(range(len(test_idx)))
+                train_matrix.extend(train_ds, generated, kb)
+                test_matrix.extend(test_ds, generated, kb)
+            key = tuple(tuple(m.column(j)) for m in (train_matrix, test_matrix)
+                        for j in range(len(features), len(m.feature_names)))
             if key not in scored:
-                if generated:
-                    train_matrix = base_train.subset(range(len(train_idx)))
-                    test_matrix = base_test.subset(range(len(test_idx)))
-                    train_matrix.append_columns(train_new)
-                    test_matrix.append_columns(test_new)
                 scored[key] = [accuracy(train_model(kind, train_matrix), test_matrix)
                                for kind in learner_kinds]
             for kind, acc in zip(learner_kinds, scored[key]):

@@ -20,8 +20,8 @@ Each (example, feature) cell is evaluated once.  The caller's features are
 materialized once, or handed in by a caller that already holds their
 columns (a ``deep`` node its parent's rows, ``cross_validate`` a fold's).
 Each derived problem is materialized once, before recursing: the same
-matrix gives the nested pass its source columns and, with only the columns
-of the features that pass adds evaluated and appended, is the classifier's
+matrix gives the nested pass its source columns and, extended with the
+features that pass adds (``FeatureMatrix.extend``), is the classifier's
 training matrix.  A source enters ``create_new_problem`` as its column's
 row masks (``FeatureMatrix.masks``), as ``expand_features`` reads its
 sources: its tokens and the rows carrying each are ``data.token_masks`` of
@@ -191,9 +191,9 @@ def generate_features(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBas
 
     Below the depth limit each derived problem's feature map is first
     extended by recursive generation over the problem itself; the
-    configured learner is then trained on the materialized problem and the
-    resulting model composed onto the source feature.  Output follows the
-    input feature order.
+    configured learner is then trained on the problem's matrix, extended
+    with those features, and the model composed onto the source feature.
+    Output follows the input feature order.
 
     `matrix`, when given, holds the columns of `features` on `ds` (a caller
     that already evaluated them, such as a ``deep`` node or a fold of
@@ -221,7 +221,7 @@ def _generate(ds: Dataset, matrix: FeatureMatrix, features: Sequence[Feature],
             added = _generate(problem_ds, problem_matrix, problem.features, kb, cfg,
                               depth - 1, stats, level + 1) if depth > 0 else []
             if added:
-                problem_matrix.append_columns(materialize(problem_ds, added, kb))
+                problem_matrix.extend(problem_ds, added, kb)
             model = train_model(cfg.learner_kind, problem_matrix)
             del problem_matrix  # freed before the next problem builds its own
             new = ClassifierFeature(inner=f, model=model,

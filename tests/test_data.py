@@ -253,25 +253,34 @@ def assert_masks_match_columns(m):
         assert list(m.masks(j).items()) == list(row_masks([row[j] for row in m.rows]).items())
 
 
-def test_matrix_subset_copies_rows_that_append_columns_extends():
-    m = FeatureMatrix([["a", "x"], ["b", "y"], ["c", "z"]], [0, 1, 0], ["f0", "f1"])
-    assert m.masks(0) == {"a": 0b001, "b": 0b010, "c": 0b100}
-    child = m.subset([2, 0])
+def test_matrix_subset_copies_columns_that_extend_appends(evaluations):
+    ds = load_dataset(lines(
+        {"id": "a", "label": 0, "features": {"surname": "nowak"}},
+        {"id": "b", "label": 1, "features": {"surname": "haddad"}},
+        {"id": "c", "label": 0, "features": {}},
+    ))
+    country = RelationFeature(BaseFeature("surname"), "countryOf")
+    m = materialize(ds, [BaseFeature("surname"), country], KB)
+    assert m.masks(0) == {"nowak": 0b001, "haddad": 0b010, None: 0b100}
+    child, child_ds = m.subset([2, 0]), ds.subset([2, 0])
     assert_masks_match_columns(child)
-    more = FeatureMatrix([["p"], ["q"]], [0, 0], ["g"])
-    assert more.masks(0) == {"p": 0b01, "q": 0b10}
-    z_then_x = child.masks(1)
-    child.append_columns(more)
-    assert child.rows == [["c", "z", "p"], ["a", "x", "q"]]
-    assert child.labels == [0, 0] and child.feature_names == ["f0", "f1", "g"]
-    # the masks built before the append are kept, and `more`'s become column 2's
-    assert child.masks(1) is z_then_x and child.masks(2) is more.masks(0)
+    none_then_poland = child.masks(1)
+    # the family's inner is the child's column 1, so its groups are read from there
+    border = RelationFeature(country, "borderOf", AggregatorInstance("any", "libya"))
+    child.extend(child_ds, [border], KB)
+    assert child.rows == [[None, None, None], ["nowak", "poland", "0"]]
+    assert child.labels == [0, 0]
+    assert child.feature_names == ["surname", "countryOf(surname)", border.name]
+    # the masks built before the extension are kept, and the family's are its fill's
+    assert child.masks(1) is none_then_poland and child.masks(2) == {None: 0b01, "0": 0b10}
     assert_masks_match_columns(child)
-    # the parent's rows, names and masks are untouched by its child's append
-    assert m.rows == [["a", "x"], ["b", "y"], ["c", "z"]] and m.feature_names == ["f0", "f1"]
+    assert set(evaluations.values()) == {1}    # each cell once, the family's never alone
+    # the parent's rows, names and masks are untouched by its child's extension
+    assert m.rows == [["nowak", "poland"], ["haddad", "egypt"], [None, None]]
+    assert m.feature_names == ["surname", "countryOf(surname)"]
     assert_masks_match_columns(m)
     with pytest.raises(ValueError):
-        child.append_columns(FeatureMatrix([["p"]], [0], ["h"]))
+        child.extend(ds, [border], KB)
 
 
 def test_feature_json_roundtrip():
@@ -282,6 +291,21 @@ def test_feature_json_roundtrip():
     back = feature_from_json(json.loads(serialize_feature(f)))
     assert serialize_feature(back) == serialize_feature(f)
     assert back.name == f.name
+
+
+def test_classifiers_with_equal_payloads_are_one_feature():
+    inner = RelationFeature(BaseFeature("surname"), "countryOf")
+    value_features = (RelationFeature(BaseFeature("value"), "borderOf",
+                                      AggregatorInstance("any", "libya")),)
+    a = ClassifierFeature(inner, constant_model(0), value_features)
+    b = ClassifierFeature(inner, constant_model(0), value_features)
+    assert a is not b and a.model is not b.model
+    assert a == b and hash(a) == hash(b) and serialize_feature(a) == serialize_feature(b)
+    assert len(a.digest) == 40 and a.name.endswith("#" + a.digest[:8])
+    other = ClassifierFeature(inner, constant_model(1), value_features)
+    assert other != a and serialize_feature(other) != serialize_feature(a)
+    assert list(dict.fromkeys([a, b, other, b])) == [a, other]
+    assert len({a, b, other}) == 2
 
 
 def test_composition_layers():

@@ -242,8 +242,7 @@ def test_dataset_scope_generation_sees_every_fold():
 def test_cross_validation_evaluates_each_input_cell_once(evaluations, method):
     # every method in one run, `method` first: once per dataset, whichever runs first.
     # The disorder KB holds function relations only, so no generated aggregator
-    # family has an input as its inner; such an input is evaluated again in each
-    # fold, which this test cannot see.
+    # family has an input as its inner; the next test covers one that does.
     train, _, kb, _ = gen_disorder_scenario(ScenarioSpec(seed=1))
     feats = base_features(train)
     methods = (method,) + tuple(m for m in METHODS if m != method)
@@ -251,6 +250,27 @@ def test_cross_validation_evaluates_each_input_cell_once(evaluations, method):
     assert {(id(x), f.name): evaluations[id(x), f.name]
             for x in train.examples for f in feats} == \
         {(id(x), f.name): 1 for x in train.examples for f in feats}
+
+
+def test_generated_family_reads_its_input_inner_from_the_fold_matrix(evaluations):
+    # `expand` gives one `any` indicator per country that `borderOf` reaches,
+    # each with the input `country` as its inner; a fold extends its matrices
+    # with them and reads that inner's column instead of evaluating it again
+    countries = [f"c{k}" for k in range(6)]
+    kb = load_kb([f"borderOf\t{c}\t{countries[(k + d) % 6]}"
+                  for k, c in enumerate(countries) for d in (1, 2)],
+                 ["borderOf\tcountry\tcountry\trel"])
+    ds = Dataset([Example(f"e{i}", int(i % 6 < 3), {"country": countries[i % 6]})
+                  for i in range(24)], [("country", "country")])
+    country = BaseFeature("country")
+    generated = method_generator("expand", HarnessConfig(), kb, [country])(
+        ds, materialize(ds, [country], kb))
+    assert len(generated) == 6 and all(f.inner == country for f in generated)
+    evaluations.clear()
+    run_experiment({"d": ds}, kb, HarnessConfig(methods=("expand",), learners=("tree",),
+                                                folds=3))
+    assert {key: evaluations[key] for key in evaluations if key[1] == "country"} == \
+        {(id(x), "country"): 1 for x in ds.examples}
 
 
 def test_fold_generator_reads_the_training_rows_of_the_input_matrix():

@@ -331,6 +331,53 @@ def test_materialize_identical_to_reference(ds, feats):
         assert list(m.masks(j).items()) == list(row_masks([row[j] for row in m.rows]).items())
 
 
+@given(token_datasets(), feature_lists(), feature_lists(), st.data())
+def test_column_first_matrix_matches_a_row_major_reference(ds, feats, more, data):
+    # rows, subset, masks and extend against learner_oracles.materialize's rows and
+    # list appends; `more` shares inners with `feats`, so a family of it may read
+    # its inner from a column of the matrix it extends
+    m = materialize(ds, feats, GEN_KB)
+    reference = learner_oracles.materialize(ds, feats, GEN_KB).rows
+    assert m.rows == reference
+
+    def check_masks(matrix, rows):
+        for j in range(len(matrix.feature_names)):
+            assert list(matrix.masks(j).items()) == \
+                list(row_masks([row[j] for row in rows]).items())
+
+    check_masks(m, reference)
+    indices = data.draw(st.lists(st.integers(0, len(ds) - 1), max_size=8)) if len(ds) else []
+    child, child_ds = m.subset(indices), ds.subset(indices)
+    child_reference = [list(reference[i]) for i in indices]
+    assert (child.rows, child.labels, child.feature_names) == \
+        (child_reference, child_ds.labels, m.feature_names)
+    child.extend(child_ds, more, GEN_KB)
+    appended = learner_oracles.materialize(child_ds, more, GEN_KB)
+    for row, new in zip(child_reference, appended.rows):
+        row += new
+    assert child == FeatureMatrix(child_reference, child_ds.labels,
+                                  m.feature_names + appended.feature_names)
+    check_masks(child, child_reference)
+    assert m.rows == reference and len(m.feature_names) == len(feats)
+
+
+def test_tree_reads_neither_rows_nor_family_cells(monkeypatch):
+    # a derived problem's shape: a family over the token and one plain column
+    ds = Dataset([Example(f"e{i}", int(i % 3 == 0), {"tok": TOKENS[i % len(TOKENS)]})
+                  for i in range(12)], [("tok", "token")])
+    feats = [TOK] + [RelationFeature(TOK, "r0", AggregatorInstance("any", v)) for v in "ab"]
+    m = materialize(ds, feats, GEN_KB)
+    read = []
+    column = FeatureMatrix.column
+    with monkeypatch.context() as mp:
+        mp.setattr(FeatureMatrix, "rows", property(lambda self: read.append("rows")))
+        mp.setattr(FeatureMatrix, "column", lambda self, j: read.append(j) or column(self, j))
+        model = train_decision_tree(m, TrainConfig(min_leaf=1))
+    assert read == []
+    assert model.to_json() == learner_oracles.train_decision_tree(
+        m, TrainConfig(min_leaf=1)).to_json()
+
+
 class CountingIndex(dict):
     """A relation index that counts its reads by subject, through `get` and `[]`."""
 

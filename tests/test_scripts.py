@@ -112,7 +112,7 @@ def test_family_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-def test_bench_alternates_checkouts_and_compares_with_the_first(tmp_path, monkeypatch):
+def test_bench_alternates_checkouts_and_compares_with_the_first(tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
@@ -121,8 +121,11 @@ def test_bench_alternates_checkouts_and_compares_with_the_first(tmp_path, monkey
     def fake_run(path, workload, seed, seconds):
         order.append((path.name, seed))
         op_rel = {"a": 10.0, "b": 2.0}[path.name] + seed / 100
+        # the first checkout's peak_rss_mb spreads 2.0 around a 2.0 median, wider
+        # than its 0.1 bound, so that metric cannot be resolved
+        rss = float(seed) if path.name == "a" else 1.9
         return {"seed": seed, "correct": True, "attempted": 3, "failed": 0,
-                "metrics": {"op_rel": op_rel, "setup_s": 1.0, "peak_rss_mb": 5.0},
+                "metrics": {"op_rel": op_rel, "setup_s": 1.0, "peak_rss_mb": rss},
                 "summary": {}, "problems": [], "env": {"src_sha256": path.name}}
 
     monkeypatch.setattr(bench, "run_once", fake_run)
@@ -142,6 +145,13 @@ def test_bench_alternates_checkouts_and_compares_with_the_first(tmp_path, monkey
     compared = doc["comparison"]["change"]
     assert compared["op_rel"]["better_in"] == 3 and compared["op_rel"]["gain_exceeds_base_iqr"]
     assert compared["setup_s"]["better_in"] == 0 and not compared["setup_s"]["worse_than_bound"]
+    assert [name for name, c in compared.items() if c["unresolved"]] == ["peak_rss_mb"]
+    assert not compared["peak_rss_mb"]["worse_than_bound"]
+    err = capsys.readouterr().err
+    assert "change vs parent: peak_rss_mb median x0.950, better in 2/3, worse_than_bound False, " \
+           "unresolved True" in err
+    assert "change vs parent: setup_s median x1.000, better in 0/3, worse_than_bound False, " \
+           "unresolved False" in err
 
 
 def kbfg_bindings():
