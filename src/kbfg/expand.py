@@ -14,7 +14,6 @@ distinguishable on the training data.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from kbfg.aggregators import AggregatorInstance
@@ -32,15 +31,17 @@ def relation_features(f: Feature, values: Sequence[str], kb: KnowledgeBase,
     """The features spawned over `f` by the relations that cover `values` at
     `cfg`'s threshold (of `departure_type` only, if given), in name order: a
     function relation composes onto `f`, any other gives one indicator of
-    `cfg`'s family per target reached from `values`, in target order."""
+    `cfg`'s family per target, in target order.  A relation's targets are
+    the objects of the values it covers, read from its index by subject."""
     out: List[Feature] = []
+    covered = set(values)
     for rel in kb.applicable_relations(values, cfg.coverage_threshold):
         if departure_type is not None and rel.departure_type != departure_type:
             continue
         if rel.is_function:
             out.append(RelationFeature(f, rel.name))
         else:
-            targets = set().union(*map(rel.index.get, values, repeat(())))
+            targets = set().union(*map(rel.index.__getitem__, rel.index.keys() & covered))
             out.extend(RelationFeature(f, rel.name,
                                        AggregatorInstance(cfg.aggregator_family, target))
                        for target in sorted(targets))

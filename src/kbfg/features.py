@@ -17,6 +17,13 @@ Three feature kinds compose into trees:
 
 Evaluation is pure: the same example and knowledge base always produce the
 same value, and nothing is mutated.
+
+A relation's and a classifier's name are derived once, when the feature is
+built, and stored on it.  One private writer gives a feature's canonical
+text, the one-line sorted-key JSON of ``to_json()``, by joining the text of
+its parts, without building that dict: ``serialize_feature`` returns it, and
+a classifier's digest (the SHA-1 its name is cut from) hashes the same text
+of the classifier's fields.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import hashlib
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Union
 
 from kbfg.aggregators import AggregatorInstance, fired_targets
@@ -48,13 +56,13 @@ class RelationFeature:
     inner: "Feature"
     relation: str
     aggregator: Optional[AggregatorInstance] = None
+    name: str = field(init=False, repr=False, compare=False)  # derived from the fields above
 
-    @property
-    def name(self) -> str:
+    def __post_init__(self):
         stem = f"{self.relation}({self.inner.name})"
-        if self.aggregator is None:
-            return stem
-        return f"{stem}:{self.aggregator.family}={self.aggregator.value}"
+        agg = self.aggregator
+        object.__setattr__(self, "name", stem if agg is None
+                           else f"{stem}:{agg.family}={agg.value}")
 
     def to_json(self) -> dict:
         return {
@@ -73,11 +81,11 @@ class ClassifierFeature:
     value_features: tuple  # features over VALUE_COLUMN, the model's input columns
     partition_type: Optional[str] = None
     name: str = field(init=False)  # always derived from the fields above
-    # SHA-1 of the canonical JSON of those fields; the name carries its first 8 digits
+    # SHA-1 of the canonical text of those fields; the name carries its first 8 digits
     digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        digest = hashlib.sha1(_canon(self._payload()).encode("utf-8")).hexdigest()
+        digest = hashlib.sha1(_classifier_text(self, named=False).encode("ascii")).hexdigest()
         scope = self.inner.name if self.partition_type is None \
             else f"{self.inner.name}|{self.partition_type}"
         object.__setattr__(self, "digest", digest)
@@ -91,11 +99,9 @@ class ClassifierFeature:
         return hash(self.name)
 
     def to_json(self) -> dict:
-        return {"kind": "classifier", "name": self.name, **self._payload()}
-
-    def _payload(self) -> dict:
-        """Every field the name is derived from."""
         return {
+            "kind": "classifier",
+            "name": self.name,
             "inner": self.inner.to_json(),
             "model": self.model.to_json(),
             "value_features": [vf.to_json() for vf in self.value_features],
@@ -112,7 +118,31 @@ def _canon(obj) -> str:
 
 def serialize_feature(f: Feature) -> str:
     """Canonical one-line JSON for a feature; equal text means equal feature."""
-    return _canon(f.to_json())
+    return _text(f)  # the writer recurses through `_text`, never through this traced name
+
+
+def _text(f: Feature) -> str:
+    """``_canon(f.to_json())``, written from each part's text with the keys in
+    sorted order; every string is escaped as ``json.dumps`` escapes it."""
+    if isinstance(f, BaseFeature):
+        return f'{{"kind":"base","name":{_quote(f.name)}}}'
+    if isinstance(f, RelationFeature):
+        agg = f.aggregator
+        agg_text = "null" if agg is None \
+            else f'{{"family":{_quote(agg.family)},"value":{_quote(agg.value)}}}'
+        return (f'{{"aggregator":{agg_text},"inner":{_text(f.inner)},"kind":"relation",'
+                f'"name":{_quote(f.name)},"relation":{_quote(f.relation)}}}')
+    if isinstance(f, ClassifierFeature):
+        return _classifier_text(f, named=True)
+    raise TypeError(f"not a feature: {f!r}")
+
+
+def _classifier_text(f: ClassifierFeature, named: bool) -> str:
+    """The canonical text of `f`'s payload or, if `named`, of the whole feature."""
+    kind, name = ('"kind":"classifier",', f'"name":{_quote(f.name)},') if named else ("", "")
+    return (f'{{"inner":{_text(f.inner)},{kind}"model":{_canon(f.model.to_json())},{name}'
+            f'"partition_type":{_canon(f.partition_type)},'
+            f'"value_features":[{",".join(map(_text, f.value_features))}]}}')
 
 
 class FeatureDocError(ValueError):

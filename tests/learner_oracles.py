@@ -18,11 +18,16 @@ aggregator fill, bitmask tree, early size filter, shared relational step
 and expansion sources read from a column's masks; the differential tests
 in ``test_learner_oracles.py`` require identical results from the library.
 
+``serialize_feature`` is ``json.dumps`` of a feature's ``to_json()`` dict,
+and ``classifier_digest`` the SHA-1 of that dict without its kind and name:
+the library writes both texts from the feature's parts instead.
+
 ``load_kb`` and ``load_dataset`` are the loaders as they were before the
 lean triple loop, the paused collector and the schema-name set: the library
 must load equal objects from the same lines, or raise the same message.
 """
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -99,6 +104,17 @@ def predict_on_token(f: ClassifierFeature, token: str, kb: KnowledgeBase) -> int
     x = Example(token, 0, {VALUE_COLUMN: token})
     row = [evaluate_feature(vf, x, kb) for vf in f.value_features]
     return f.model.predict(row)
+
+
+def serialize_feature(f: Feature) -> str:
+    return json.dumps(f.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def classifier_digest(f: ClassifierFeature) -> str:
+    """SHA-1 of the canonical JSON of every field a classifier's name is derived from."""
+    payload = {k: v for k, v in f.to_json().items() if k not in ("kind", "name")}
+    return hashlib.sha1(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
 def majority_aggregate(values: Iterable[str], v: str) -> int:

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import functools
 import gc
 import json
+import pickle
 import re
 
 import pytest
@@ -306,6 +309,28 @@ def test_classifiers_with_equal_payloads_are_one_feature():
     assert other != a and serialize_feature(other) != serialize_feature(a)
     assert list(dict.fromkeys([a, b, other, b])) == [a, other]
     assert len({a, b, other}) == 2
+
+
+def test_relation_name_is_a_field_derived_at_construction():
+    f = RelationFeature(RelationFeature(BaseFeature("surname"), "countryOf"), "borderOf",
+                        AggregatorInstance("any", "libya"))
+    assert f.name == "borderOf(countryOf(surname)):any=libya"
+    # equality, hash and repr read the three defining fields only, as before the field
+    assert f == RelationFeature(f.inner, "borderOf", AggregatorInstance("any", "libya"))
+    assert hash(f) == hash((f.inner, f.relation, f.aggregator))
+    assert repr(f) == ("RelationFeature(inner=RelationFeature(inner=BaseFeature(name='surname'), "
+                       "relation='countryOf', aggregator=None), relation='borderOf', "
+                       "aggregator=AggregatorInstance(family='any', value='libya'))")
+    for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and copied.name == f.name and hash(copied) == hash(f)
+    renamed = dataclasses.replace(f, relation="neighbourOf")
+    assert renamed.name == "neighbourOf(countryOf(surname)):any=libya"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.name = "other"
+    doc = f.to_json()
+    assert feature_from_json(doc) == f
+    with pytest.raises(FeatureDocError, match=r"^\$\.name: stored 'borderOf\(surname\)"):
+        feature_from_json({**doc, "name": "borderOf(surname)"})
 
 
 def test_composition_layers():

@@ -1,9 +1,9 @@
 from hypothesis import given, strategies as st
 
-from kbfg.aggregators import fired_targets
+from kbfg.aggregators import AggregatorInstance, fired_targets
 from kbfg.data import Dataset, Example
-from kbfg.expand import expand_features
-from kbfg.features import BaseFeature
+from kbfg.expand import expand_features, relation_features
+from kbfg.features import BaseFeature, RelationFeature
 from kbfg.kb import load_kb
 from kbfg.recursive import GenerationConfig
 
@@ -136,3 +136,14 @@ def test_no_generated_name_is_among_the_inputs():
         "borderOf(countryOf(surname)):any=libya",
         "borderOf(countryOf(surname)):any=sudan",
     ]
+
+
+def test_targets_come_from_the_covered_values_only():
+    # nowak is a subject of countryOf but not of borderOf, martian of no relation,
+    # and poland, a borderOf subject, is not among the values
+    country = BaseFeature("country")
+    out = relation_features(country, ["egypt", "martian", "nowak"], KB,
+                            GenerationConfig(coverage_threshold=0.3))
+    assert out == [RelationFeature(country, "borderOf", AggregatorInstance("any", "libya")),
+                   RelationFeature(country, "borderOf", AggregatorInstance("any", "sudan")),
+                   RelationFeature(country, "countryOf")]

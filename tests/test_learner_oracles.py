@@ -10,7 +10,9 @@ builds, the bitmask tree the same ``to_json()`` as the list-grouping tree
 (gains tied within 1e-12 included), ``create_new_problem`` the same
 problems and dropped-candidate records as labelling every value first, and
 ``expand_features`` the same features as evaluating every source cell by
-cell.
+cell.  A feature's canonical text and a classifier's digest, written from
+their parts, must equal ``json.dumps`` of the feature's JSON dict and the
+SHA-1 of that text.
 """
 
 import random
@@ -34,12 +36,14 @@ from kbfg.features import (
     features_from_document,
     features_to_document,
     predict_on_token,
+    serialize_feature,
 )
 from kbfg.harness import base_features
 from kbfg.kb import KBError, load_kb, schema_lines, triple_lines
 from kbfg.learners import (
     LEARNER_KINDS,
     KnnModel,
+    LinearModel,
     TrainConfig,
     TreeModel,
     TreeNode,
@@ -609,3 +613,86 @@ def test_create_new_problem_identical_to_reference(ds, min_size, family, coverag
                                                           reference_stats, level)
     # the library records a survivor only once its feature is built
     assert stats.records == [r for r in reference_stats.records if r.status != "generated"]
+
+
+# every character JSON escapes or spells in a special way, and plain ones
+ODD_CHARS = {"quote": '"', "backslash": "\\", "control": "\x00\x08\n\x1f\x7f",
+             "non-ASCII": "\xe9\U0001d11e", "U+2028": "\u2028"}
+texts = st.text(st.sampled_from("".join(ODD_CHARS.values()) + "ab/"), max_size=4) | st.text()
+
+
+@st.composite
+def models(draw, kind, width):
+    default = draw(st.integers(0, 1))
+    if kind == "tree":
+        return TreeModel(draw(trees(width)), default, width)
+    if kind == "knn":
+        rows = draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=1,
+                             max_size=3))
+        return KnnModel(rows, [draw(st.integers(0, 1)) for _ in rows],
+                        draw(st.integers(1, 3)), default)
+    weights = draw(st.dictionaries(st.tuples(st.integers(0, width), texts), st.floats(),
+                                   max_size=3))
+    return LinearModel(weights, draw(st.floats()), default, draw(st.booleans()))
+
+
+@st.composite
+def written_features(draw, depth=2):
+    """A feature tree of every kind; classifiers nest up to `depth` deep."""
+    kind = draw(st.sampled_from(("base", "relation", "classifier") if depth else ("base",)))
+    if kind == "base":
+        return BaseFeature(draw(texts))
+    if kind == "relation":
+        family = draw(st.none() | st.sampled_from(FAMILIES))
+        aggregator = None if family is None else AggregatorInstance(family, draw(texts))
+        return RelationFeature(draw(written_features(depth - 1)), draw(texts), aggregator)
+    value_features = tuple(draw(st.lists(written_features(depth - 1), max_size=3)))
+    return ClassifierFeature(draw(written_features(depth - 1)),
+                             draw(models(draw(st.sampled_from(LEARNER_KINDS)),
+                                         len(value_features))),
+                             value_features, draw(st.none() | texts))
+
+
+def subfeatures(f, nested=False):
+    """`f` and every feature in its tree, each with whether it lies below a classifier."""
+    yield f, nested
+    if not isinstance(f, BaseFeature):
+        for g in (f.inner, *getattr(f, "value_features", ())):
+            yield from subfeatures(g, nested or isinstance(f, ClassifierFeature))
+
+
+def written_cases(f, nested):
+    """The case `f` itself is, and the strings of its own fields."""
+    if isinstance(f, BaseFeature):
+        return {"base"}, [f.name]
+    if isinstance(f, RelationFeature):
+        agg = f.aggregator
+        if agg is None:
+            return {"relation"}, [f.relation]
+        return {f"relation:{agg.family}"}, [f.relation, agg.value]
+    cases = {f"classifier:{f.model.kind}", "value features" if f.value_features
+             else "no value features",
+             "partition_type null" if f.partition_type is None else "partition_type string"}
+    return cases | ({"nested classifier"} if nested else set()), [f.partition_type or ""]
+
+
+def test_canonical_text_and_digest_match_json_dumps():
+    reached = Counter()
+
+    @given(written_features())
+    def check(f):
+        assert serialize_feature(f) == learner_oracles.serialize_feature(f)
+        for g, nested in subfeatures(f):
+            if isinstance(g, ClassifierFeature):
+                assert g.digest == learner_oracles.classifier_digest(g)
+            cases, strings = written_cases(g, nested)
+            reached.update(cases)
+            reached.update(name for name, chars in ODD_CHARS.items()
+                           if any(c in s for s in strings for c in chars))
+
+    check()
+    expected = {"base", "relation", *(f"relation:{family}" for family in FAMILIES),
+                *(f"classifier:{kind}" for kind in LEARNER_KINDS), "nested classifier",
+                "no value features", "value features", "partition_type null",
+                "partition_type string", *ODD_CHARS}
+    assert expected <= reached.keys(), expected - reached.keys()
