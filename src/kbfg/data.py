@@ -306,7 +306,10 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
     only read back by name, so no set order reaches the result.  The
     relation is looked up only when some value is present.  A member is
     ``"1"`` on the rows its target fires on, ``None`` where the inner is
-    missing and ``"0"`` elsewhere, and is stored as those groups.  Every
+    missing and ``"0"`` elsewhere, and is stored as those groups, empty ones
+    left out, in the order of their lowest row as ``row_masks`` gives them:
+    where the inner is never missing, the group holding row 0 first, with
+    no sort.  Every
     other cell is evaluated on its own.  Evaluation is pure, so the result
     is the one cell-by-cell evaluation gives, and deterministic.
     """
@@ -356,7 +359,12 @@ def materialize(ds: Dataset, features: Sequence[Feature], kb: KnowledgeBase,
         for j, target in members:
             ones = fires.get(target, 0)
             # the non-empty groups, in the order of their lowest row, as row_masks has them
-            ordered = sorted((m & -m, v, m) for v, m in
-                             ((None, missing), ("1", ones), ("0", present ^ ones)) if m)
-            matrix._masks[j] = {v: m for _, v, m in ordered}
+            if missing:
+                ordered = sorted((m & -m, v, m) for v, m in
+                                 ((None, missing), ("1", ones), ("0", present ^ ones)) if m)
+                matrix._masks[j] = {v: m for _, v, m in ordered}
+            else:   # two groups at most: row 0's comes first
+                pairs = (("1", ones), ("0", every ^ ones)) if ones & 1 else \
+                    (("0", every ^ ones), ("1", ones))
+                matrix._masks[j] = {v: m for v, m in pairs if m}
     return matrix

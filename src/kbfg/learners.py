@@ -190,8 +190,12 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
     second group is the node's rows outside the first, and its size and
     positive count are the node's totals minus the first group's, integer
     arithmetic that leaves every gain bit-identical.  Only the chosen split
-    builds the node's two groups.  A column of more groups passes down its
-    groups restricted to the node, so one left with two takes the AND below.
+    builds the node's two groups.  A two-group column whose split leaves a
+    group smaller than ``min_leaf`` is not passed down: below the node its
+    first group can only shrink, and so can the node's rows outside it, so
+    it can never split there.  A column of more groups passes down its
+    groups restricted to the node, even an undersized one, since a small
+    group may be gone below; one left with two takes the AND there.
     A two-group gain depends only on the node's counts and the first group's
     (size, positives), so a node scores each such pair once, in a memo
     dropped before its children are built.  The labels give the row count:
@@ -216,7 +220,7 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
             return TreeNode(label=node_majority, n=n)
 
         best_j, best_gain, best_groups = None, 0.0, None
-        live = []                          # the columns not constant on this node
+        live = []                          # the columns that may still split below
         gains = {}                         # (size, pos) of a two-group split -> its gain
         for col in columns:
             j, groups = col
@@ -224,10 +228,10 @@ def train_decision_tree(matrix: FeatureMatrix, cfg: Optional[TrainConfig] = None
                 a = groups[0][1] & node
                 if not a or a == node:
                     continue
-                live.append(col)
                 size = a.bit_count()
                 if size < min_leaf or n - size < min_leaf:
-                    continue  # split would create an undersized leaf
+                    continue  # an undersized leaf here and on every node below
+                live.append(col)
                 pos = (a & positive).bit_count()
                 gain = gains.get((size, pos))
                 if gain is None:

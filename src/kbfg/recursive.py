@@ -30,7 +30,10 @@ groups.
 
 A candidate with fewer than ``min_recursive_size`` objects, a single object
 class, or no applicable relations is dropped; the objects are labelled only
-once some candidate of the source has enough of them.  A candidate
+once some candidate of the source has enough of them.  An atom-valued
+source's objects are its distinct non-missing values, so one with too few
+is counted from its groups and dropped before its tokens are grouped and
+sorted.  A candidate
 whose induced feature has the name of one already present (an input feature
 or one generated earlier in the pass) is dropped as ``duplicate``.  Every
 candidate is recorded once, with its final status, as a ``CandidateRecord``
@@ -138,12 +141,20 @@ def create_new_problem(f: Feature, ds: Dataset, masks: Mapping[FeatureValue, int
     ``row_masks`` of its column does (``FeatureMatrix.masks``).
     Atom-valued sources yield at most one problem; set-valued sources yield
     one per covering departure type.  Each dropped candidate is recorded in
-    `stats`; the generator records the survivors.
+    `stats`; the generator records the survivors.  An atom-valued source
+    with fewer than ``min_recursive_size`` non-missing groups is recorded
+    ``too_small`` from their count alone.
     """
     stats = stats if stats is not None else GenerationStats()
+    set_valued = any(isinstance(v, frozenset) for v in masks)
+    if not set_valued:  # its objects are its groups' values
+        n_values = len(masks) - (None in masks)
+        if n_values < cfg.min_recursive_size:
+            stats.add(CandidateRecord(f.name, level, n_values, len(ds.examples), "too_small"))
+            return []
     token_rows = token_masks(masks)
     all_values = sorted(token_rows)
-    if any(isinstance(v, frozenset) for v in masks):
+    if set_valued:
         candidates = _partition_by_type(all_values, kb)
     else:
         candidates = [(None, all_values)]

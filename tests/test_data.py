@@ -422,6 +422,11 @@ MALFORMED_DOCUMENTS = {
     "name-of-another-feature": ("tree", _copy(("features", 0, "value_features", 1, "name"),
                                               ("features", 0, "name")),
                                 r"^\$\.features\[0\]\.name: stored 'induced\[countryOf"),
+    "unknown-aggregator-family": (
+        "tree", _set(("features", 0, "value_features", 0, "aggregator"),
+                     {"family": "mode", "value": "a"}),
+        r"^\$\.features\[0\]\.value_features\[0\]\.aggregator\.family: "
+        r"unknown aggregator family 'mode'"),
     "relation-name-not-derived": ("tree", _set(("features", 0, "value_features", 0, "name"),
                                                "countryOf(surname)"),
                                   r"^\$\.features\[0\]\.value_features\[0\]\.name:"),

@@ -335,6 +335,27 @@ def test_materialize_identical_to_reference(ds, feats):
         assert list(m.masks(j).items()) == list(row_masks([row[j] for row in m.rows]).items())
 
 
+def test_family_member_groups_are_in_the_order_of_their_lowest_row():
+    # a member's groups as materialize orders them, with and without a
+    # missing inner value, whichever group row 0 is in
+    reached = Counter()
+
+    @given(token_datasets(min_size=1), feature_lists())
+    def check(ds, feats):
+        # the rows as drawn, and reversed: another row 0
+        for rows in (ds, ds.subset(range(len(ds) - 1, -1, -1))):
+            m = materialize(rows, feats, GEN_KB)
+            for j, f in enumerate(feats):
+                if isinstance(f, RelationFeature) and f.aggregator is not None:
+                    column = m.column(j)
+                    assert list(m.masks(j).items()) == list(row_masks(column).items())
+                    reached["missing" if None in column else "no missing", column[0]] += 1
+
+    check()
+    assert all(reached[inner, row0] >= 10 for inner in ("missing", "no missing")
+               for row0 in ("0", "1")), reached
+
+
 @given(token_datasets(), feature_lists(), feature_lists(), st.data())
 def test_column_first_matrix_matches_a_row_major_reference(ds, feats, more, data):
     # rows, subset, masks and extend against learner_oracles.materialize's rows and
@@ -559,6 +580,25 @@ def test_tree_scores_a_column_again_below_its_undersized_group():
     assert tree.root.feature == 0 and tree.root.children[1][1].feature == 1
 
 
+def test_tree_never_splits_below_a_two_valued_column_undersized_group():
+    # f1's "q" group holds row 3 alone, so at min_leaf 2 it cannot split the
+    # root or any node below it, though on the f0 = "x" child it would
+    # separate the labels, as it does at min_leaf 1
+    columns = ["xxxxyyyy", "pppqpppp"]
+    m = FeatureMatrix([list(row) for row in zip(*columns)], [0, 0, 0, 1, 1, 1, 1, 1],
+                      ["f0", "f1"])
+    grown = {}
+    for min_leaf in (1, 2):
+        cfg = TrainConfig(min_leaf=min_leaf)
+        grown[min_leaf] = tree = train_decision_tree(m, cfg)
+        assert tree.to_json() == learner_oracles.train_decision_tree(m, cfg).to_json()
+        assert tree.root.feature == 0
+    [(x, on_x), _] = grown[1].root.children
+    assert (x, on_x.feature) == ("x", 1)
+    assert [c.to_json() for _, c in grown[2].root.children] == \
+        [{"leaf": 0, "n": 4}, {"leaf": 1, "n": 4}]
+
+
 def test_tree_skips_a_two_valued_column_constant_on_a_child():
     # f1 is "p" on every row of the f0 = "x" child, so there f2 splits; on the
     # f0 = "y" child f1 has both values and splits
@@ -601,18 +641,33 @@ def test_tree_breaks_a_near_tie_as_the_reference():
             learner_oracles.train_decision_tree(m, cfg).to_json()
 
 
-@given(token_datasets(min_size=1), st.integers(1, 6), st.sampled_from(FAMILIES),
-       st.sampled_from([1.0, 0.5, 0.2]), st.integers(0, 2))
-def test_create_new_problem_identical_to_reference(ds, min_size, family, coverage, level):
-    cfg = GenerationConfig(min_recursive_size=min_size, aggregator_family=family,
-                           coverage_threshold=coverage)
-    column = [x.assignment["tok"] for x in ds.examples]
-    stats, reference_stats = GenerationStats(), GenerationStats()
-    problems = create_new_problem(TOK, ds, row_masks(column), GEN_KB, cfg, stats, level)
-    assert problems == learner_oracles.create_new_problem(TOK, ds, column, GEN_KB, cfg,
-                                                          reference_stats, level)
-    # the library records a survivor only once its feature is built
-    assert stats.records == [r for r in reference_stats.records if r.status != "generated"]
+def test_create_new_problem_identical_to_reference():
+    # a source with fewer non-missing values than min_size: an atom source is
+    # counted from its groups, a set-valued one takes the full path
+    reached = Counter()
+
+    @given(token_datasets(min_size=1), st.integers(1, 6), st.sampled_from(FAMILIES),
+           st.sampled_from([1.0, 0.5, 0.2]), st.integers(0, 2))
+    def check(ds, min_size, family, coverage, level):
+        cfg = GenerationConfig(min_recursive_size=min_size, aggregator_family=family,
+                               coverage_threshold=coverage)
+        column = [x.assignment["tok"] for x in ds.examples]
+        stats, reference_stats = GenerationStats(), GenerationStats()
+        masks = row_masks(column)
+        problems = create_new_problem(TOK, ds, masks, GEN_KB, cfg, stats, level)
+        assert problems == learner_oracles.create_new_problem(TOK, ds, column, GEN_KB, cfg,
+                                                              reference_stats, level)
+        # the library records a survivor only once its feature is built
+        assert stats.records == [r for r in reference_stats.records if r.status != "generated"]
+        if len(masks) - (None in masks) < min_size:
+            if any(isinstance(v, frozenset) for v in masks):
+                reached["set-valued"] += 1
+            else:
+                reached["atoms with a missing value" if None in masks else "atoms"] += 1
+
+    check()
+    assert all(reached[case] >= 5 for case in
+               ("atoms with a missing value", "atoms", "set-valued")), reached
 
 
 # every character JSON escapes or spells in a special way, and plain ones
